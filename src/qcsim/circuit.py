@@ -31,6 +31,13 @@ R_C_MAX = 0.5
 PHI_S_MAX = 0.3
 
 
+def _require_positive(value: float, name: str) -> None:
+    """Reject zero, negative and non-finite parameters (NaN passes every
+    ordinary comparison guard)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
 def charging_energy(c_total: float) -> float:
     """Single-electron charging energy e^2/(2C) of a capacitance in fF,
     returned as an angular frequency (rad/ns)."""
@@ -67,8 +74,7 @@ class SquidParams:
 
     def __post_init__(self) -> None:
         for name in ("ej1", "ej2", "cs"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"squid.{name} must be positive, got {getattr(self, name)}")
+            _require_positive(getattr(self, name), f"squid.{name}")
         if not -1.0 < self.asymmetry < 1.0:
             raise ConfigError(f"squid asymmetry {self.asymmetry} outside (-1, 1)")
 
@@ -97,8 +103,7 @@ class TransmissionLineParams:
 
     def __post_init__(self) -> None:
         for name in ("length", "c0", "l0"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"line.{name} must be positive, got {getattr(self, name)}")
+            _require_positive(getattr(self, name), f"line.{name}")
 
     @property
     def phase_velocity(self) -> float:
@@ -127,10 +132,8 @@ class QubitParams:
     ej: float
 
     def __post_init__(self) -> None:
-        if self.c_total <= 0:
-            raise ConfigError(f"qubit.c_total must be positive, got {self.c_total}")
-        if self.ej <= 0:
-            raise ConfigError(f"qubit.ej must be positive, got {self.ej}")
+        _require_positive(self.c_total, "qubit.c_total")
+        _require_positive(self.ej, "qubit.ej")
         ratio = self.ej / charging_energy(self.c_total)
         if ratio < TRANSMON_RATIO_MIN:
             raise ConfigError(
@@ -162,8 +165,7 @@ class CouplingCaps:
 
     def __post_init__(self) -> None:
         for name in ("c12", "c1c", "c2c", "cc"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"caps.{name} must be positive, got {getattr(self, name)}")
+            _require_positive(getattr(self, name), f"caps.{name}")
         small = max(self.c1c, self.c2c)
         if self.cc / small < 50.0:
             warnings.warn(
@@ -192,7 +194,7 @@ class SquidState:
     def __post_init__(self) -> None:
         if not math.isfinite(self.flux):
             raise ConfigError(f"flux must be finite, got {self.flux}")
-        if abs(self.phi_s) >= PHI_S_MAX:
+        if not abs(self.phi_s) < PHI_S_MAX:
             raise ConfigError(
                 f"|phi_s| = {abs(self.phi_s)} outside small-phase regime (< {PHI_S_MAX})"
             )
@@ -332,6 +334,8 @@ def _number(section: dict, key: str, path: str) -> float:
     value = section[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 

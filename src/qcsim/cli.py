@@ -26,7 +26,7 @@ from . import __version__
 from .circuit import DeviceConfig, SquidState, device_to_dict, load_device, qubit_spectrum
 from .constants import TWO_PI, angular_to_ghz, ghz_to_angular
 from .coupling import effective_coupling, switch_off
-from .crosstalk import DEFAULT_COUPLER_ANHARM, TruncationSpec, zz_report
+from .crosstalk import DEFAULT_COUPLER_ANHARM, zz_exact, zz_perturbative, zz_report
 from .dynamics import leakage_sweep, propagator
 from .errors import ConfigError, LabelingError, RegimeError
 from .modes import flux_for_frequency, fundamental_approx, solve_dispersion
@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
         default=DEFAULT_COUPLER_ANHARM / TWO_PI * 1e3,
         help="coupler two-photon anharmonicity (MHz)",
     )
-    p_zz.add_argument("--levels", type=int, default=4, help="levels per subsystem")
 
     p_leak = sub.add_parser("leakage", parents=[common], help="gate leakage sweep")
     p_leak.add_argument("--amp", default="3.9:4.3:41", help="pulse amplitude axis (GHz)")
@@ -212,33 +211,29 @@ def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> Li
             device, caps=dataclasses.replace(device.caps, c12=args.c12)
         )
     anharm = ghz_to_angular(args.anharm_mhz * 1e-3)
-    trunc = TruncationSpec(args.levels, args.levels, args.levels)
     errors: List[dict] = []
 
     def point(f_ghz: float):
+        """(xi2, xi3, xi4, xi_pert, xi_exact) in rad/ns, None where not
+        computed, and the error to record for the point."""
+        omega_c = ghz_to_angular(f_ghz)
         try:
-            return zz_report(device, ghz_to_angular(f_ghz), trunc, anharm)
+            exact = zz_exact(device, omega_c, anharm)
         except _POINT_ERRORS as exc:
-            return exc
+            return (None,) * 5, exc
+        try:
+            pert = zz_perturbative(device, omega_c, anharm)
+        except RegimeError as exc:
+            # A perturbative pole leaves the exact value well defined.
+            return (None,) * 4 + (exact,), exc
+        return (pert.xi2, pert.xi3, pert.xi4, pert.xi_pert, exact), None
 
     results = map_points(point, axis.values())
     rows: List[list] = []
-    for f_ghz, res in zip(axis.values(), results):
-        if isinstance(res, Exception):
-            errors.append({"row": len(rows), "omega_c_ghz": f_ghz, "error": str(res)})
-            rows.append([f_ghz, None, None, None, None, None])
-            continue
-        to_khz = lambda w: angular_to_ghz(w) * 1e6  # noqa: E731
-        rows.append(
-            [
-                f_ghz,
-                to_khz(res.xi2),
-                to_khz(res.xi3),
-                to_khz(res.xi4),
-                to_khz(res.xi_pert),
-                to_khz(res.xi_exact),
-            ]
-        )
+    for f_ghz, (values, exc) in zip(axis.values(), results):
+        if exc is not None:
+            errors.append({"row": len(rows), "omega_c_ghz": f_ghz, "error": str(exc)})
+        rows.append([f_ghz] + [None if w is None else angular_to_ghz(w) * 1e6 for w in values])
     header = ["omega_c_ghz", "xi2_khz", "xi3_khz", "xi4_khz", "xi_pert_khz", "xi_exact_khz"]
     return _emit(out_dir, "zz", header, rows, _metadata(device, args), errors)
 

@@ -7,9 +7,15 @@ computed two ways and cross-validated:
   g12 and g_jc, with detunings D_j = w_j - wc, D12 = w1 - w2, qubit
   anharmonicities a_j, and the coupler two-photon anharmonicity entering
   the fourth order;
-* dense diagonalization of the excitation-conserving three-body
-  Hamiltonian on a truncated |n1, nc, n2> product basis, with dressed
-  eigenstates labeled by maximum overlap against the bare basis.
+* exact diagonalization of the excitation-conserving three-body
+  Hamiltonian restricted to its N = 0, 1 and 2 excitation-number blocks
+  (1, 3 and 6 bare |n1, nc, n2> states), which hold the four energies
+  exactly whatever the truncation, with dressed eigenstates labeled by
+  maximum overlap against the bare states inside each block.
+
+The dense Hamiltonian on a truncated product basis (`build_hamiltonian`,
+`label_spectrum`) is kept as the reference the block solver is tested
+against.
 
 The third- and fourth-order expressions are deliberately kept in their
 asymmetric form (they are not invariant under qubit exchange, e.g. the
@@ -26,7 +32,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import DeviceConfig, qubit_spectrum
+from .circuit import DeviceConfig, QubitSpectrum, qubit_spectrum
 from .constants import TWO_PI
 from .coupling import direct_coupling, qubit_coupler_coupling
 from .errors import LabelingError, RegimeError
@@ -247,25 +253,24 @@ class LabeledSpectrum:
         return self.energies[self.labels.index(label)]
 
 
-def label_spectrum(
-    hamiltonian: np.ndarray,
-    trunc: TruncationSpec,
+def _match_labels(
+    evals: np.ndarray,
+    evecs: np.ndarray,
     wanted: Sequence[Label],
+    rows: Sequence[int],
 ) -> LabeledSpectrum:
-    """Diagonalize and assign each requested bare label to the dressed
-    eigenstate of maximum overlap.
+    """Assign each bare label (basis row `rows[i]`) to the eigenvector of
+    maximum overlap.
 
     Every assignment must have overlap >= 0.5 and assignments must be
     distinct (a bijection onto the retained subspace); anticrossing
     regions violate one of the two and raise instead of silently
     swapping labels.
     """
-    evals, evecs = np.linalg.eigh(hamiltonian)
     taken: dict[int, Label] = {}
     energies, overlaps = [], []
-    for label in wanted:
-        idx = bare_index(label, trunc.dims)
-        weights = np.abs(evecs[idx, :]) ** 2
+    for label, row in zip(wanted, rows):
+        weights = np.abs(evecs[row, :]) ** 2
         k = int(np.argmax(weights))
         if weights[k] < OVERLAP_MIN:
             raise LabelingError(
@@ -284,30 +289,109 @@ def label_spectrum(
     )
 
 
+def label_spectrum(
+    hamiltonian: np.ndarray,
+    trunc: TruncationSpec,
+    wanted: Sequence[Label],
+) -> LabeledSpectrum:
+    """Diagonalize and assign each requested bare label to the dressed
+    eigenstate of maximum overlap, under the overlap and bijection
+    guards of `_match_labels`."""
+    evals, evecs = np.linalg.eigh(hamiltonian)
+    rows = [bare_index(label, trunc.dims) for label in wanted]
+    return _match_labels(evals, evecs, wanted, rows)
+
+
+def _block_states(n: int) -> Tuple[Label, ...]:
+    """Bare states |n1, nc, n2> with n1 + nc + n2 = n."""
+    return tuple(
+        (n1, nc, n - n1 - nc) for n1 in range(n, -1, -1) for nc in range(n - n1, -1, -1)
+    )
+
+
+# The blocks holding E(0,0,0), E(1,0,0)/E(0,0,1) and E(1,0,1), with the
+# labels wanted from each.
+_BLOCKS = (
+    (_block_states(0), ((0, 0, 0),)),
+    (_block_states(1), ((1, 0, 0), (0, 0, 1))),
+    (_block_states(2), ((1, 0, 1),)),
+)
+
+
+def _block_hamiltonian(
+    states: Sequence[Label],
+    s1: QubitSpectrum,
+    s2: QubitSpectrum,
+    omega_c: float,
+    shifts: Sequence[float],
+    g1c: float,
+    g2c: float,
+    g12: float,
+) -> np.ndarray:
+    """One excitation-number block of the `build_hamiltonian` matrix:
+    the same Duffing, coupler-shift and sqrt(n) exchange elements,
+    restricted to `states`."""
+    index = {state: i for i, state in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    for i, (n1, nc, n2) in enumerate(states):
+        h[i, i] = (
+            s1.omega * n1
+            + 0.5 * s1.alpha * n1 * (n1 - 1)
+            + omega_c * nc
+            + shifts[nc]
+            + s2.omega * n2
+            + 0.5 * s2.alpha * n2 * (n2 - 1)
+        )
+        hops = (
+            (g1c, (n1 + 1, nc - 1, n2), math.sqrt(n1 + 1) * math.sqrt(nc)),
+            (g2c, (n1, nc - 1, n2 + 1), math.sqrt(n2 + 1) * math.sqrt(nc)),
+            (g12, (n1 + 1, nc, n2 - 1), math.sqrt(n1 + 1) * math.sqrt(n2)),
+        )
+        for g, target, amplitude in hops:
+            j = index.get(target)
+            if j is not None:
+                h[i, j] = h[j, i] = g * amplitude
+    return h
+
+
 def zz_exact(
     device: DeviceConfig,
     omega_c: float,
-    trunc: TruncationSpec = TruncationSpec(),
     delta_c_anharm: float = DEFAULT_COUPLER_ANHARM,
 ) -> float:
-    """ZZ shift from exact diagonalization:
-    E(1,0,1) - E(1,0,0) - E(0,0,1) + E(0,0,0), rad/ns."""
-    shifts = coupler_shifts(delta_c_anharm, trunc.levels_c)
-    h = build_hamiltonian(device, omega_c, shifts, trunc)
-    spectrum = label_spectrum(h, trunc, [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)])
-    e000, e100, e001, e101 = spectrum.energies
+    """ZZ shift from exact diagonalization of the N = 0, 1, 2 excitation
+    blocks: E(1,0,1) - E(1,0,0) - E(0,0,1) + E(0,0,0), rad/ns.
+
+    Matches the dense `build_hamiltonian` spectrum at any truncation of
+    at least three levels per subsystem.  Raises `LabelingError` where
+    the overlap or bijection guard fails inside a block.
+    """
+    params = (
+        qubit_spectrum(device.qubit1),
+        qubit_spectrum(device.qubit2),
+        omega_c,
+        coupler_shifts(delta_c_anharm, 3),
+        qubit_coupler_coupling(device, 1, omega_c),
+        qubit_coupler_coupling(device, 2, omega_c),
+        direct_coupling(device),
+    )
+    energies = []
+    for states, wanted in _BLOCKS:
+        evals, evecs = np.linalg.eigh(_block_hamiltonian(states, *params))
+        rows = [states.index(label) for label in wanted]
+        energies.extend(_match_labels(evals, evecs, wanted, rows).energies)
+    e000, e100, e001, e101 = energies
     return e101 - e100 - e001 + e000
 
 
 def zz_report(
     device: DeviceConfig,
     omega_c: float,
-    trunc: TruncationSpec = TruncationSpec(),
     delta_c_anharm: float = DEFAULT_COUPLER_ANHARM,
 ) -> ZZReport:
     """Perturbative orders plus the exact-diagonalization value."""
     pert = zz_perturbative(device, omega_c, delta_c_anharm)
-    exact = zz_exact(device, omega_c, trunc, delta_c_anharm)
+    exact = zz_exact(device, omega_c, delta_c_anharm)
     return ZZReport(
         omega_c=omega_c,
         xi2=pert.xi2,

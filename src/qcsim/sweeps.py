@@ -14,12 +14,9 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
-
-THREADS_ENV = "QCS_THREADS"
 
 
 @dataclass(frozen=True)
@@ -60,6 +57,8 @@ class AxisSpec:
     def __post_init__(self) -> None:
         if self.count < 2:
             raise ValueError(f"axis count must be >= 2, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis start and stop must be finite, got {self.start}:{self.stop}")
 
     def values(self) -> Tuple[float, ...]:
         step = (self.stop - self.start) / (self.count - 1)
@@ -171,19 +170,5 @@ def device_hash(device_dict: dict) -> str:
 
 
 def map_points(fn: Callable, points: Sequence) -> List:
-    """Apply `fn` to each grid point, preserving order.
-
-    Fans out to a thread pool when QCS_THREADS is set above 1; the
-    per-point computations are pure, so ordering is the only contract.
-    """
-    workers = 0
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw.strip():
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, points))
+    """Apply `fn` to each grid point, preserving order."""
     return [fn(point) for point in points]

@@ -107,8 +107,8 @@ def test_criterion_5_zz_hierarchy_and_magnitude(device):
     )
 
 
-def test_criterion_6_perturbation_vs_oracle(device):
-    from qcsim import TruncationSpec, zz_exact
+def test_criterion_6_perturbation_vs_oracle(device, dense_zz_exact):
+    from qcsim import zz_exact
 
     band = np.linspace(4.3, 4.8, 51)
     agree = True
@@ -117,9 +117,10 @@ def test_criterion_6_perturbation_vs_oracle(device):
         agree &= abs(rep.xi_exact - rep.xi_pert) <= max(0.25 * abs(rep.xi_exact), TWO_PI * 1e-6)
     converged = True
     for f_ghz in (4.3, 4.55, 4.8):
-        a = zz_exact(device, TWO_PI * f_ghz, TruncationSpec(4, 4, 4))
-        b = zz_exact(device, TWO_PI * f_ghz, TruncationSpec(5, 5, 5))
-        converged &= abs(a - b) <= TWO_PI * 1e-7
+        block = zz_exact(device, TWO_PI * f_ghz)
+        for levels in (4, 5):
+            dense = dense_zz_exact(device, TWO_PI * f_ghz, levels)
+            converged &= abs(block - dense) <= TWO_PI * 1e-7
     ok = agree and converged
     _report(6, "perturbative sum tracks exact diagonalization; truncation converged", ok)
 

@@ -128,6 +128,8 @@ def test_squid_invariants():
         SquidParams(ej1=-1.0, ej2=100.0, cs=50.0)
     with pytest.raises(ConfigError):
         SquidParams(ej1=100.0, ej2=100.0, cs=0.0)
+    with pytest.raises(ConfigError, match="finite"):
+        SquidParams(ej1=100.0, ej2=float("nan"), cs=50.0)
 
 
 def test_squid_state_guards():
@@ -135,6 +137,8 @@ def test_squid_state_guards():
         SquidState(flux=float("nan"))
     with pytest.raises(ConfigError):
         SquidState(flux=0.1, phi_s=0.31)
+    with pytest.raises(ConfigError):
+        SquidState(flux=0.1, phi_s=float("nan"))
 
 
 # --- qubit spectrum ------------------------------------------------------

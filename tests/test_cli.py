@@ -1,6 +1,7 @@
 """Output formatting, sweep plumbing, and the command-line workflow."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -69,12 +70,8 @@ def test_device_hash_is_stable_and_order_insensitive():
     assert a == b and len(a) == 16
 
 
-def test_map_points_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("QCS_THREADS", "4")
+def test_map_points_preserves_order():
     assert map_points(lambda x: x * x, [1, 2, 3, 4]) == [1, 4, 9, 16]
-    monkeypatch.setenv("QCS_THREADS", "soup")
-    with pytest.raises(ValueError, match="QCS_THREADS"):
-        map_points(lambda x: x, [1])
 
 
 def test_csv_writer_uses_lf(tmp_path):
@@ -153,13 +150,11 @@ def test_determinism_across_runs(config_path, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_determinism_under_thread_pool(config_path, tmp_path, monkeypatch):
-    serial = tmp_path / "serial"
-    assert main(["coupling", "--config", config_path, "--out", str(serial), "--omega-c", "4.2:6.0:40"]) == 0
-    monkeypatch.setenv("QCS_THREADS", "4")
-    pooled = tmp_path / "pooled"
-    assert main(["coupling", "--config", config_path, "--out", str(pooled), "--omega-c", "4.2:6.0:40"]) == 0
-    assert (serial / "coupling.csv").read_bytes() == (pooled / "coupling.csv").read_bytes()
+def test_coupling_rows_follow_axis_order(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["coupling", "--config", config_path, "--out", str(out), "--omega-c", "4.2:6.0:40"]) == 0
+    column = [line.split(",")[0] for line in (out / "coupling.csv").read_text().splitlines()[1:]]
+    assert column == [format_float(v) for v in parse_axis("4.2:6.0:40").values()]
 
 
 def test_modes_default_grid_shape_and_monotonicity(config_path, tmp_path):
@@ -193,6 +188,21 @@ def test_zz_c12_override_shrinks_crosstalk(config_path, tmp_path):
     small = (out2 / "zz.csv").read_text().splitlines()[1:]
     for row_a, row_b in zip(base, small):
         assert abs(float(row_b.split(",")[5])) < abs(float(row_a.split(",")[5]))
+
+
+def test_zz_pole_blanks_only_perturbative_cells(config_path, tmp_path):
+    # The coupler on resonance with either qubit is a pole of the
+    # perturbative orders, but the exact shift stays well defined.
+    out = tmp_path / "out"
+    assert main(["zz", "--config", config_path, "--out", str(out), "--omega-c", "3.9:4.3:41"]) == 0
+    rows = {r[0]: r for r in (line.split(",") for line in (out / "zz.csv").read_text().splitlines()[1:])}
+    for f in ("4", "4.1"):
+        assert rows[f][1:5] == ["", "", "", ""]
+        assert rows[f][5] != ""
+    # about 2.2e-3 rad/ns with the coupler parked on qubit 1
+    assert float(rows["4"][5]) == pytest.approx(2.2e-3 / (2 * math.pi) * 1e6, rel=0.05)
+    errors = json.loads((out / "zz.meta.json").read_text())["metadata"]["errors"]
+    assert [(e["omega_c_ghz"], "pole" in e["error"]) for e in errors] == [(4.0, True), (4.1, True)]
 
 
 def test_validate_passes_on_reference_config(config_path, tmp_path, capsys):
@@ -236,6 +246,24 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert "caps.c12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [("line", "length", math.nan), ("caps", "c12", math.inf)])
+def test_non_finite_config_numbers_exit_2(config_path, tmp_path, capsys, section, key, value):
+    # json reads the NaN and Infinity literals, and NaN passes a <= 0 guard.
+    doc = json.loads(Path(config_path).read_text())
+    doc[section][key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["switchoff", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_c12_override_exits_2(config_path, tmp_path, capsys, value):
+    argv = ["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:4.8:3"]
+    assert main(argv + ["--c12", value]) == 2
+    assert "caps.c12" in capsys.readouterr().err
+
+
 def test_fatal_regime_error_exits_2(config_path, tmp_path, capsys):
     # Essentially no deliberate qubit-qubit capacitance: the net
     # coupling never crosses zero on the searched bands, which is a
@@ -257,3 +285,9 @@ def test_usage_errors_exit_1(config_path, tmp_path):
     assert exc.value.code == 1
     # malformed axis spec is a usage problem, not a validation one
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "0:1:1"]) == 1
+    assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "nan:1:3"]) == 1
+    assert main(["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:inf:3"]) == 1
+    # the block solver needs no truncation, so the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["zz", "--config", config_path, "--out", str(tmp_path), "--levels", "4"])
+    assert exc.value.code == 1

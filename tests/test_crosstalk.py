@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import warnings
 
 import mpmath as mp
@@ -21,6 +22,8 @@ from qcsim import (
     TruncationSpec,
     build_hamiltonian,
     coupler_shifts,
+    device_from_dict,
+    device_to_dict,
     direct_coupling,
     label_spectrum,
     qubit_spectrum,
@@ -207,7 +210,7 @@ def test_exact_zero_for_decoupled_system(device):
 def test_exact_matches_second_order_without_coupler(device):
     dev = _quiet_caps_device(device, c1c=1e-12, c2c=1e-12)
     rep = zz_perturbative(dev, TWO_PI * 4.5)
-    exact = zz_exact(dev, TWO_PI * 4.5, TruncationSpec(3, 3, 3))
+    exact = zz_exact(dev, TWO_PI * 4.5)
     assert abs(exact - rep.xi2) <= 0.1 * abs(rep.xi2)
 
 
@@ -218,11 +221,38 @@ def test_perturbative_against_exact_over_band(device):
         assert abs(rep.xi_exact - rep.xi_pert) <= tol
 
 
-def test_truncation_convergence(device):
+def test_truncation_convergence(device, dense_zz_exact):
+    # The block solver is truncation-free; the dense oracle at 4 and 5
+    # levels per subsystem must land on the same value.
     for f_ghz in (4.3, 4.55, 4.8):
-        a = zz_exact(device, TWO_PI * f_ghz, TruncationSpec(4, 4, 4))
-        b = zz_exact(device, TWO_PI * f_ghz, TruncationSpec(5, 5, 5))
-        assert abs(a - b) <= TWO_PI * 1e-7
+        block = zz_exact(device, TWO_PI * f_ghz)
+        for levels in (4, 5):
+            assert abs(block - dense_zz_exact(device, TWO_PI * f_ghz, levels)) <= TWO_PI * 1e-7
+
+
+def _benchmark_like_device(base: DeviceConfig, seed: int) -> DeviceConfig:
+    """`base` with qubit frequencies, c12, c1c/c2c and line length
+    redrawn over the ranges the seeded benchmark devices use."""
+    rng = random.Random(seed)
+    doc = device_to_dict(base)
+    omega2 = rng.uniform(4.10, 4.13)
+    splitting = rng.uniform(0.085, 0.12)
+    for name, omega in (("qubit1", omega2 - splitting), ("qubit2", omega2)):
+        doc[name] = {"c_total": doc[name]["c_total"], "omega": omega}
+    doc["caps"]["c12"] = rng.uniform(0.035, 0.055)
+    doc["caps"]["c1c"] = rng.uniform(0.95, 1.05)
+    doc["caps"]["c2c"] = rng.uniform(0.95, 1.05)
+    doc["line"]["length"] = rng.uniform(4.80, 4.95)
+    return device_from_dict(doc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_solver_matches_dense_oracle(device, seed, dense_zz_exact):
+    dev = _benchmark_like_device(device, seed)
+    for f_ghz in BAND:
+        block = zz_exact(dev, TWO_PI * f_ghz)
+        for levels in (3, 4, 6):
+            assert abs(block - dense_zz_exact(dev, TWO_PI * f_ghz, levels)) <= 1e-12
 
 
 def test_magnitude_band_and_capacitance_suppression(device):
