@@ -50,7 +50,6 @@ from .crosstalk import (
 )
 from .dynamics import (
     BrightDark,
-    PulseSpec,
     TwoLevelProblem,
     bright_dark,
     evolve_two_level,

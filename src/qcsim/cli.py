@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import math
 import sys
 import time
 import warnings
@@ -52,6 +54,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qcs", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcs {__version__}")
@@ -75,7 +88,7 @@ def _build_parser() -> _Parser:
     p_zz.add_argument("--c12", type=float, default=None, help="override qubit-qubit capacitance (fF)")
     p_zz.add_argument(
         "--anharm-mhz",
-        type=float,
+        type=_finite_float,
         default=DEFAULT_COUPLER_ANHARM / TWO_PI * 1e3,
         help="coupler two-photon anharmonicity (MHz)",
     )
@@ -84,8 +97,8 @@ def _build_parser() -> _Parser:
     p_leak.add_argument("--amp", default="3.9:4.3:41", help="pulse amplitude axis (GHz)")
     p_leak.add_argument("--ncz", default="1:20:20", help="gate count axis start:stop:count")
     p_leak.add_argument("--channel", choices=["single", "double"], default="single")
-    p_leak.add_argument("--duration-ns", type=float, default=40.0)
-    p_leak.add_argument("--idle", type=float, default=None, help="idle coupler frequency (GHz)")
+    p_leak.add_argument("--duration-ns", type=_finite_float, default=40.0)
+    p_leak.add_argument("--idle", type=_finite_float, default=None, help="idle coupler frequency (GHz)")
 
     sub.add_parser("validate", parents=[common], help="run the model invariant battery")
     return parser
@@ -253,20 +266,11 @@ def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) 
         channel=args.channel,
         duration=args.duration_ns,
     )
-    rows: List[list] = []
-    i = 0
-    for amp in result.axes["amp_ghz"]:
-        for ncz in result.axes["n_cz"]:
-            rows.append(
-                [
-                    amp,
-                    float(ncz),
-                    result.columns["p_comp"][i],
-                    result.columns["p_leak"][i],
-                    args.channel,
-                ]
-            )
-            i += 1
+    grid = itertools.product(result.axes["amp_ghz"], result.axes["n_cz"])
+    rows = [
+        [amp, ncz, comp, leak, args.channel]
+        for (amp, ncz), comp, leak in zip(grid, result.columns["p_comp"], result.columns["p_leak"])
+    ]
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
     metadata = {**_metadata(device, args), **result.metadata}
     return _emit(out_dir, "leakage", header, rows, metadata, [])

@@ -6,6 +6,11 @@ flux pulse; the propagator is the exact closed-form 2x2 unitary, and a
 train of identical pulses is the single-pulse unitary to the n-th power,
 i.e. one evolution of the total hold time.
 
+`leakage_sweep` evaluates the resulting off-resonant Rabi populations
+over the whole amplitude x gate-count grid as numpy arrays;
+`propagator` and `evolve_two_level` stay as the per-point oracle that
+the validation battery and the tests check it against.
+
 single channel: one-excitation exchange between the first qubit and the
 coupler, energies (w1, wc), coupling g1c.  double channel: the doubly
 excited computational state against the bright leak combination, whose
@@ -25,25 +30,6 @@ from .circuit import DeviceConfig, qubit_spectrum
 from .constants import angular_to_ghz
 from .coupling import qubit_coupler_coupling
 from .sweeps import SweepResult
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """Square flux pulse: in-pulse coupler frequency `amplitude`
-    (rad/ns), hold time `duration` (ns), `n_cz` repetitions."""
-
-    amplitude: float
-    duration: float
-    n_cz: int = 1
-    shape: str = "square"
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.n_cz < 1:
-            raise ValueError(f"n_cz must be >= 1, got {self.n_cz}")
-        if self.shape != "square":
-            raise ValueError(f"only square pulses are supported, got {self.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -141,33 +127,35 @@ def leakage_sweep(
         raise ValueError(f"channel must be 'single' or 'double', got {channel!r}")
     if not amplitudes or not ncz_values:
         raise ValueError("amplitude and gate-count grids must be nonempty")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     for n in ncz_values:
         if n < 1:
             raise ValueError(f"gate counts must be >= 1, got {n}")
     w1 = qubit_spectrum(device.qubit1).omega
     w2 = qubit_spectrum(device.qubit2).omega
 
-    p_comp, p_leak = [], []
-    for amp in amplitudes:
-        g = qubit_coupler_coupling(device, 1, amp)
-        if channel == "single":
-            e_comp, e_leak = w1, amp
-        else:
-            e_comp, e_leak = w1 + w2, amp + w2
-        problem = TwoLevelProblem(e1=e_comp, e2=e_leak, g=g)
-        for n in ncz_values:
-            pulse = PulseSpec(amplitude=amp, duration=duration, n_cz=n)
-            stay, leak = evolve_two_level(problem, pulse.n_cz * pulse.duration)
-            p_comp.append(stay)
-            p_leak.append(leak)
+    # Detuning D = e_comp - e_leak and coupling g per amplitude, then
+    # the off-resonant Rabi populations of `evolve_two_level` over the
+    # whole grid, amplitude along rows.
+    amps = np.asarray(amplitudes, dtype=float)
+    g = np.array([qubit_coupler_coupling(device, 1, amp) for amp in amplitudes])
+    delta = w1 - amps if channel == "single" else (w1 + w2) - (amps + w2)
+    # math.hypot, as in `propagator`: np.hypot may differ in the last ulp.
+    rabi = np.array(list(map(math.hypot, 2.0 * g, delta)))
+    half = 0.5 * rabi[:, None] * (np.asarray(ncz_values, dtype=float) * duration)
+    s = np.sin(half)
+    p_leak = ((2.0 * g / rabi)[:, None] * s) ** 2
+    p_comp = np.cos(half) ** 2 + ((delta / rabi)[:, None] * s) ** 2
     return SweepResult(
         axes={
             "amp_ghz": tuple(angular_to_ghz(a) for a in amplitudes),
             "n_cz": tuple(float(n) for n in ncz_values),
         },
-        columns={"p_comp": tuple(p_comp), "p_leak": tuple(p_leak)},
+        columns={
+            "p_comp": tuple(p_comp.ravel().tolist()),
+            "p_leak": tuple(p_leak.ravel().tolist()),
+        },
         metadata={
             "channel": channel,
             "idle_ghz": angular_to_ghz(idle_omega_c),

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
-from .circuit import DeviceConfig, SquidState, derive_ratios, derive_squid
+from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios, derive_squid
 from .errors import RegimeError
 
 FLUX_MAX = 0.499  # stay clear of the half-quantum corner
@@ -132,6 +132,11 @@ def mode_nonlinearity(mode: ModeSolution, e_lcav: float, m_max: int = 4) -> Mode
     return replace(mode, lam=lam, shifts=level_shifts(mode.kl, e_lcav, m_max))
 
 
+def _rad_per_kl(device: DeviceConfig, ratios: DeviceRatios) -> float:
+    """Mode frequency (rad/ns) per unit of the dimensionless wavenumber kl."""
+    return ratios.v / (device.line.length * 1e-3) * 1e-9
+
+
 def solve_dispersion(
     device: DeviceConfig,
     state: SquidState,
@@ -145,7 +150,7 @@ def solve_dispersion(
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     ratios = derive_ratios(device)
     load = flux_factor(device, state) / ratios.r_l
-    rad_per_kl = ratios.v / (device.line.length * 1e-3) * 1e-9  # rad/ns per unit kl
+    rad_per_kl = _rad_per_kl(device, ratios)
     out = []
     for n in range(1, n_modes + 1):
         kl = _solve_branch(n, ratios.r_c, load)
@@ -189,9 +194,13 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     """Invert the fundamental-mode dispersion: the flux in [0, FLUX_MAX]
     at which mode 1 sits at `target_omega` (rad/ns).
 
-    The mode frequency is monotone decreasing on this branch (checked);
-    bisection on flux converges to ~1e-9 flux quanta, comfortably inside
-    the 1e-6 rad/ns frequency tolerance.
+    The target fixes kl and with it the termination strength the
+    dispersion relation needs, B = r_L*(kl*tan(kl) + r_C*kl^2).  The
+    flux factor is exactly B = cos(phi_s)*cos(pi*flux) +
+    d*sin(phi_s)*sin(pi*flux) = R*cos(pi*flux - psi), so on the
+    decreasing branch pi*flux = psi + arccos(B/R); at phi_s = 0 this is
+    arccos(B)/pi.  The solved mode must land within 1e-6 rad/ns of the
+    target.
     """
 
     def mode1(flux: float) -> float:
@@ -209,18 +218,14 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     if target_omega < w_bottom:
         raise RegimeError(f"target {target_omega:.6f} rad/ns below achievable band {band}")
 
-    lo, hi = 0.0, FLUX_MAX  # omega(lo) >= target >= omega(hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mode1(mid) >= target_omega:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    flux = 0.5 * (lo + hi)
+    ratios = derive_ratios(device)
+    kl = target_omega / _rad_per_kl(device, ratios)
+    factor = ratios.r_l * (kl * math.tan(kl) + ratios.r_c * kl * kl)
+    a = math.cos(phi_s)
+    c = device.squid.asymmetry * math.sin(phi_s)
+    r = math.hypot(a, c)
+    theta = math.atan2(c, a) + math.acos(min(1.0, max(-1.0, factor / r)))
+    flux = min(max(theta / math.pi, 0.0), FLUX_MAX)
     if abs(mode1(flux) - target_omega) > 1e-6:
         raise RegimeError(
             f"flux inversion failed to converge at target {target_omega:.6f} rad/ns"

@@ -112,14 +112,49 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+# Item separator of the cells at the sidecar's row indentation.  With
+# `indent` left at None, `encode` runs the C encoder.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+# Rows per encoder call: enough to amortize the call, few enough that no
+# multi-megabyte string is built.  Such strings, made anew on every
+# large sweep, fragmented the heap and raised the process's peak RSS.
+_ROWS_PER_BLOCK = 500
+
+
+def _sidecar_rows(rows: Sequence[Sequence]) -> str:
+    """The rows as json.dumps(indent=2) lays them out inside the sidecar.
+
+    One C-encoder call puts every cell in place; only the row brackets
+    then move onto their own lines.  Cells are scalars, whose encoding
+    never holds a raw newline, so "],<sep>[" marks exactly the row
+    boundaries, and "[<newline>      <newline>    ]" exactly an empty row.
+    """
+    text = _ROWS_ENCODER.encode(rows)[1:-1].replace("],\n      [", "\n    ],\n    [\n      ")
+    return ("    [\n      " + text[1:-1] + "\n    ]").replace("[\n      \n    ]", "[]")
+
+
 def write_sidecar(path: Path, header: Sequence[str], rows: Sequence[Sequence], metadata: dict) -> None:
-    """JSON mirror of a CSV plus run metadata (timestamps allowed here)."""
-    doc = {
-        "metadata": metadata,
-        "header": list(header),
-        "rows": [[None if cell is None else cell for cell in row] for row in rows],
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """JSON mirror of a CSV plus run metadata (timestamps allowed here).
+
+    The bytes are those of json.dumps(doc, indent=2, sort_keys=True) for
+    doc = {"header", "metadata", "rows"}, with the rows (lists or tuples
+    of scalars) encoded in blocks by the C encoder instead of the
+    pure-Python indenting one.
+    """
+    text = json.dumps(
+        {"header": list(header), "metadata": metadata, "rows": []}, indent=2, sort_keys=True
+    )
+    if not rows:
+        parts = [text + "\n"]
+    else:
+        # "rows" sorts last, so the document ends with its empty list.
+        parts = [text[: -len("[]\n}")] + "[\n"]
+        for start in range(0, len(rows), _ROWS_PER_BLOCK):
+            block = _sidecar_rows(rows[start : start + _ROWS_PER_BLOCK])
+            parts.append(",\n" + block if start else block)
+        parts.append("\n  ]\n}\n")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(parts)
 
 
 def write_json_atomic(path: Path, document: dict) -> None:

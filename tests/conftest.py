@@ -1,15 +1,25 @@
 import importlib.resources
+import random
 
 import pytest
 
 from qcsim import (
     DEFAULT_COUPLER_ANHARM,
+    FLUX_MAX,
     DeviceConfig,
+    SquidState,
     TruncationSpec,
+    TwoLevelProblem,
     build_hamiltonian,
     coupler_shifts,
+    device_from_dict,
+    device_to_dict,
+    evolve_two_level,
     label_spectrum,
     load_device,
+    qubit_coupler_coupling,
+    qubit_spectrum,
+    solve_dispersion,
 )
 
 CONFIG_PATH = str(importlib.resources.files("qcsim").joinpath("data/reference_device.json"))
@@ -46,3 +56,74 @@ def dense_zz_exact():
     `levels` per subsystem, diagonalized and labeled by overlap.
     Called as dense_zz_exact(device, omega_c, levels[, delta_c_anharm])."""
     return _dense_zz_exact
+
+
+def _benchmark_like_device(base: DeviceConfig, seed: int) -> DeviceConfig:
+    """`base` with qubit frequencies, c12, c1c/c2c and line length
+    redrawn over the ranges the seeded benchmark devices use."""
+    rng = random.Random(seed)
+    doc = device_to_dict(base)
+    omega2 = rng.uniform(4.10, 4.13)
+    splitting = rng.uniform(0.085, 0.12)
+    for name, omega in (("qubit1", omega2 - splitting), ("qubit2", omega2)):
+        doc[name] = {"c_total": doc[name]["c_total"], "omega": omega}
+    doc["caps"]["c12"] = rng.uniform(0.035, 0.055)
+    doc["caps"]["c1c"] = rng.uniform(0.95, 1.05)
+    doc["caps"]["c2c"] = rng.uniform(0.95, 1.05)
+    doc["line"]["length"] = rng.uniform(4.80, 4.95)
+    return device_from_dict(doc)
+
+
+@pytest.fixture(scope="session")
+def benchmark_like_device():
+    """Called as benchmark_like_device(base, seed)."""
+    return _benchmark_like_device
+
+
+def _bisect_flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float = 0.0) -> float:
+    lo, hi = 0.0, FLUX_MAX  # omega(lo) >= target >= omega(hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if solve_dispersion(device, SquidState(flux=mid, phi_s=phi_s), 1)[0].omega >= target_omega:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="session")
+def bisect_flux_for_frequency():
+    """Reference for `flux_for_frequency` on an in-band target: nested
+    bisection of the solved mode-1 frequency over [0, FLUX_MAX], to
+    1e-12 flux quanta.  Called as (device, target_omega[, phi_s])."""
+    return _bisect_flux_for_frequency
+
+
+def _pointwise_leakage(device, amplitudes, ncz_values, channel, duration):
+    w1 = qubit_spectrum(device.qubit1).omega
+    w2 = qubit_spectrum(device.qubit2).omega
+    p_comp, p_leak = [], []
+    for amp in amplitudes:
+        g = qubit_coupler_coupling(device, 1, amp)
+        if channel == "single":
+            problem = TwoLevelProblem(e1=w1, e2=amp, g=g)
+        else:
+            problem = TwoLevelProblem(e1=w1 + w2, e2=amp + w2, g=g)
+        for n in ncz_values:
+            stay, leak = evolve_two_level(problem, n * duration)
+            p_comp.append(stay)
+            p_leak.append(leak)
+    return p_comp, p_leak
+
+
+@pytest.fixture(scope="session")
+def pointwise_leakage():
+    """Reference for `leakage_sweep`: one `evolve_two_level` per grid
+    point, row-major with amplitude outer.  Called as (device,
+    amplitudes, ncz_values, channel, duration); returns the p_comp and
+    p_leak lists."""
+    return _pointwise_leakage

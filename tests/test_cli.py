@@ -4,11 +4,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qcsim import SweepResult, format_float, parse_axis
+from qcsim import SweepResult, angular_to_ghz, format_float, ghz_to_angular, load_device, parse_axis
 from qcsim.cli import main
-from qcsim.sweeps import AxisSpec, device_hash, map_points, write_csv
+from qcsim.sweeps import AxisSpec, device_hash, map_points, write_csv, write_sidecar
 
 HEADERS = {
     "modes.csv": "flux,mode,kl,freq_ghz,lambda,anharm_mhz",
@@ -72,6 +73,34 @@ def test_device_hash_is_stable_and_order_insensitive():
 
 def test_map_points_preserves_order():
     assert map_points(lambda x: x * x, [1, 2, 3, 4]) == [1, 4, 9, 16]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[]],
+        [[1.5]],
+        [[1.0, None, "single"], (2.5e-05, -0.0, "double")],
+        [[math.nan, math.inf, -math.inf, None], [np.float64(0.1), np.float64(1e300), 3, True]],
+        [['quo"te', "back\\slash", "new\nline", "tab\t", "caf\u00e9", "\u96fb\u5b50", "\U0001f600"]],
+        [[0.30000000000000004, 1e-320, 123456789.123, -7], []],
+        [[], ["],\n      [", "[]"], [], ["x]", 2.0], []],
+        # several encoder blocks, with empty rows on their edges
+        [[] if i % 500 in (0, 499) else [i / 3, None if i % 7 else "x"] for i in range(1201)],
+    ],
+)
+def test_sidecar_bytes_match_indented_json(tmp_path, rows):
+    metadata = {
+        "timestamp": "2026-01-01T00:00:00+00:00",
+        "idle_ghz": 4.5,
+        "errors": [{"row": 0, "omega_c_ghz": 4.0, "error": "pole \"x\""}, {"row": 3, "nested": {"b": [1, None], "a": math.nan}}],
+    }
+    header = ["a", "b\u00e9", "c"]
+    path = tmp_path / "s.meta.json"
+    write_sidecar(path, header, rows, metadata)
+    doc = {"metadata": metadata, "header": header, "rows": [list(row) for row in rows]}
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_csv_writer_uses_lf(tmp_path):
@@ -276,7 +305,7 @@ def test_fatal_regime_error_exits_2(config_path, tmp_path, capsys):
     assert "does not change sign" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_1(config_path, tmp_path):
+def test_usage_errors_exit_1(config_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["modes", "--config", config_path, "--out", str(tmp_path), "--bogus"])
     assert exc.value.code == 1
@@ -291,3 +320,36 @@ def test_usage_errors_exit_1(config_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["zz", "--config", config_path, "--out", str(tmp_path), "--levels", "4"])
     assert exc.value.code == 1
+    # Non-finite floats are usage errors naming the flag: NaN would pass
+    # a positivity check and fill the grid (or the sidecar) with NaN.
+    for argv in (
+        ["leakage", "--duration-ns", "nan"],
+        ["leakage", "--duration-ns", "inf"],
+        ["leakage", "--idle", "nan"],
+        ["leakage", "--idle=-inf"],
+        ["zz", "--anharm-mhz", "nan"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", config_path, "--out", str(tmp_path / "nonfinite")])
+        assert exc.value.code == 1
+        flag = argv[1].split("=")[0]
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "nonfinite").exists()
+    assert main(["leakage", "--config", config_path, "--out", str(tmp_path), "--duration-ns", "-5"]) == 1
+
+
+@pytest.mark.parametrize("channel", ["single", "double"])
+def test_leakage_csv_matches_pointwise_oracle(config_path, tmp_path, pointwise_leakage, channel):
+    # The array-evaluated sweep prints the same 9-digit cells as one
+    # `evolve_two_level` per point, on the benchmark's 20,100-point grid.
+    out = tmp_path / "out"
+    argv = ["leakage", "--amp", "3.9:4.3:201", "--ncz", "1:100:100", "--channel", channel]
+    assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
+    amps = [ghz_to_angular(a) for a in parse_axis("3.9:4.3:201").values()]
+    counts = list(range(1, 101))
+    comp, leak = pointwise_leakage(load_device(config_path), amps, counts, channel, 40.0)
+    grid = [(angular_to_ghz(a), float(n)) for a in amps for n in counts]
+    rows = [[a, n, c, p, channel] for (a, n), c, p in zip(grid, comp, leak)]
+    write_csv(tmp_path / "oracle.csv", ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"], rows)
+    assert (out / "leakage.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

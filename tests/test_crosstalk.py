@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import random
 import warnings
 
 import mpmath as mp
@@ -22,8 +21,6 @@ from qcsim import (
     TruncationSpec,
     build_hamiltonian,
     coupler_shifts,
-    device_from_dict,
-    device_to_dict,
     direct_coupling,
     label_spectrum,
     qubit_spectrum,
@@ -230,25 +227,9 @@ def test_truncation_convergence(device, dense_zz_exact):
             assert abs(block - dense_zz_exact(device, TWO_PI * f_ghz, levels)) <= TWO_PI * 1e-7
 
 
-def _benchmark_like_device(base: DeviceConfig, seed: int) -> DeviceConfig:
-    """`base` with qubit frequencies, c12, c1c/c2c and line length
-    redrawn over the ranges the seeded benchmark devices use."""
-    rng = random.Random(seed)
-    doc = device_to_dict(base)
-    omega2 = rng.uniform(4.10, 4.13)
-    splitting = rng.uniform(0.085, 0.12)
-    for name, omega in (("qubit1", omega2 - splitting), ("qubit2", omega2)):
-        doc[name] = {"c_total": doc[name]["c_total"], "omega": omega}
-    doc["caps"]["c12"] = rng.uniform(0.035, 0.055)
-    doc["caps"]["c1c"] = rng.uniform(0.95, 1.05)
-    doc["caps"]["c2c"] = rng.uniform(0.95, 1.05)
-    doc["line"]["length"] = rng.uniform(4.80, 4.95)
-    return device_from_dict(doc)
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_block_solver_matches_dense_oracle(device, seed, dense_zz_exact):
-    dev = _benchmark_like_device(device, seed)
+def test_block_solver_matches_dense_oracle(device, seed, dense_zz_exact, benchmark_like_device):
+    dev = benchmark_like_device(device, seed)
     for f_ghz in BAND:
         block = zz_exact(dev, TWO_PI * f_ghz)
         for levels in (3, 4, 6):

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from qcsim import (
-    PulseSpec,
     SquidState,
     TwoLevelProblem,
     bright_dark,
@@ -123,13 +122,7 @@ def test_dark_mode_reduction_error_bound():
     assert worst_error(0.1) <= 2 * math.tan(0.1) ** 2
 
 
-def test_pulse_and_problem_validation():
-    with pytest.raises(ValueError):
-        PulseSpec(amplitude=25.0, duration=0.0)
-    with pytest.raises(ValueError):
-        PulseSpec(amplitude=25.0, duration=10.0, n_cz=0)
-    with pytest.raises(ValueError):
-        PulseSpec(amplitude=25.0, duration=10.0, shape="gauss")
+def test_problem_validation():
     with pytest.raises(ValueError):
         TwoLevelProblem(e1=0.0, e2=1.0, g=0.1, psi0=(1.0, 0.1))
 
@@ -196,7 +189,37 @@ def test_channels_share_detuning_structure(device):
 def test_sweep_argument_validation(device):
     with pytest.raises(ValueError):
         leakage_sweep(device, 25.0, [], [1], channel="single")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gate counts"):
         leakage_sweep(device, 25.0, [25.0], [0], channel="single")
+    with pytest.raises(ValueError, match="gate counts"):
+        leakage_sweep(device, 25.0, [25.0], [1, 0, 2], channel="single")
     with pytest.raises(ValueError):
         leakage_sweep(device, 25.0, [25.0], [1], channel="both")
+    # NaN passes a `duration <= 0` test, and the array evaluation would
+    # turn it into NaN populations instead of raising.
+    for duration in (0.0, -10.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration"):
+            leakage_sweep(device, 25.0, [25.0], [1], duration=duration)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("channel", ["single", "double"])
+def test_array_sweep_matches_pointwise_oracle(device, benchmark_like_device, pointwise_leakage, seed, channel):
+    dev = benchmark_like_device(device, seed)
+    w1 = qubit_spectrum(dev.qubit1).omega
+    # The on-resonance amplitude has zero detuning in both channels.
+    amps = [ghz_to_angular(f) for f in np.linspace(3.9, 4.3, 17)] + [w1]
+    grids = ([1, 2, 3, 5, 8, 13, 40, 100], [7], list(range(1, 21)))
+    for counts in grids:
+        for duration in (40.0, 17.3):
+            result = leakage_sweep(dev, amps[0], amps, counts, channel=channel, duration=duration)
+            comp, leak = pointwise_leakage(dev, amps, counts, channel, duration)
+            np.testing.assert_allclose(result.columns["p_comp"], comp, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(result.columns["p_leak"], leak, rtol=0, atol=1e-12)
+            assert all(type(p) is float for p in result.columns["p_leak"])
+    # On resonance the leak population is the full Rabi flop sin^2(g*t).
+    g = qubit_coupler_coupling(dev, 1, w1)
+    result = leakage_sweep(dev, w1, [w1], [1, 3], channel=channel)
+    np.testing.assert_allclose(
+        result.columns["p_leak"], [math.sin(g * 40.0) ** 2, math.sin(g * 120.0) ** 2], rtol=0, atol=1e-12
+    )

@@ -219,3 +219,18 @@ def test_inversion_out_of_range_names_band(device):
         flux_for_frequency(device, top * 1.01)
     with pytest.raises(RegimeError, match="below achievable band"):
         flux_for_frequency(device, bottom * 0.9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("phi_s", [0.0, 0.1, 0.2])
+def test_closed_form_inversion_matches_bisection(device, benchmark_like_device, bisect_flux_for_frequency, seed, phi_s):
+    # Targets across the tuning band, including near both ends.  At
+    # nonzero phi_s the asymmetry term shifts the branch: the mode first
+    # rises with flux, so the band's top is reached again at a flux > 0.
+    dev = benchmark_like_device(device, seed)
+    bottom, top = tuning_band(dev, phi_s)
+    for frac in (1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-6):
+        target = top - frac * (top - bottom)
+        closed = flux_for_frequency(dev, target, phi_s)
+        assert abs(closed - bisect_flux_for_frequency(dev, target, phi_s)) <= 1e-10
+        assert abs(solve_dispersion(dev, SquidState(flux=closed, phi_s=phi_s), 1)[0].omega - target) <= 1e-9
