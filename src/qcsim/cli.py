@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -117,15 +116,15 @@ def _emit(
     out_dir: Path,
     name: str,
     header: Sequence[str],
-    rows: Sequence[Sequence],
+    columns: Sequence[Sequence],
     metadata: dict,
     errors: List[dict],
 ) -> List[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, columns)
     sidecar = out_dir / f"{name}.meta.json"
-    write_sidecar(sidecar, header, rows, {**metadata, "errors": errors})
+    write_sidecar(sidecar, header, columns, {**metadata, "errors": errors})
     return [str(csv_path), str(sidecar)]
 
 
@@ -158,7 +157,7 @@ def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) ->
                 ]
             )
     header = ["flux", "mode", "kl", "freq_ghz", "lambda", "anharm_mhz"]
-    return _emit(out_dir, "modes", header, rows, _metadata(device, args), errors)
+    return _emit(out_dir, "modes", header, list(zip(*rows)), _metadata(device, args), errors)
 
 
 def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
@@ -190,7 +189,7 @@ def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path)
             ]
         )
     header = ["omega_c_ghz", "g12_mhz", "g1c_mhz", "g2c_mhz", "geff_mhz"]
-    return _emit(out_dir, "coupling", header, rows, _metadata(device, args), errors)
+    return _emit(out_dir, "coupling", header, list(zip(*rows)), _metadata(device, args), errors)
 
 
 def _run_switchoff(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
@@ -248,7 +247,7 @@ def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> Li
             errors.append({"row": len(rows), "omega_c_ghz": f_ghz, "error": str(exc)})
         rows.append([f_ghz] + [None if w is None else angular_to_ghz(w) * 1e6 for w in values])
     header = ["omega_c_ghz", "xi2_khz", "xi3_khz", "xi4_khz", "xi_pert_khz", "xi_exact_khz"]
-    return _emit(out_dir, "zz", header, rows, _metadata(device, args), errors)
+    return _emit(out_dir, "zz", header, list(zip(*rows)), _metadata(device, args), errors)
 
 
 def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
@@ -266,14 +265,18 @@ def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) 
         channel=args.channel,
         duration=args.duration_ns,
     )
-    grid = itertools.product(result.axes["amp_ghz"], result.axes["n_cz"])
-    rows = [
-        [amp, ncz, comp, leak, args.channel]
-        for (amp, ncz), comp, leak in zip(grid, result.columns["p_comp"], result.columns["p_leak"])
+    amps, counts = result.axes["amp_ghz"], result.axes["n_cz"]
+    # Row-major over (amplitude, count), as the result's columns are.
+    columns = [
+        [amp for amp in amps for _ in counts],
+        counts * len(amps),
+        result.columns["p_comp"],
+        result.columns["p_leak"],
+        [args.channel] * result.n_points,
     ]
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
     metadata = {**_metadata(device, args), **result.metadata}
-    return _emit(out_dir, "leakage", header, rows, metadata, [])
+    return _emit(out_dir, "leakage", header, columns, metadata, [])
 
 
 def _validate_checks(device: DeviceConfig) -> List[tuple]:

@@ -5,6 +5,13 @@ digits (lowercase scientific outside [1e-4, 1e7)), so identical inputs
 produce byte-identical CSVs.  Run metadata (device hash, tool version,
 timestamp, per-point errors) lives in a JSON sidecar next to each CSV,
 and a manifest is written atomically after every run.
+
+The CSV and sidecar writers take a table as a header plus one sequence
+per column.  They format a column at a time, with the same result as
+`format_cell` (CSV) and `json.dumps` (sidecar) per cell: a float column
+longer than one block in one array pass over its distinct values, any
+other column cell by cell.  Rows are joined and written a block at a
+time.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -89,10 +98,9 @@ def format_float(x: float) -> str:
     if x != x:
         return "nan"
     if x == 0.0:
-        x = 0.0  # normalize -0.0
-        return "0"
+        return "0"  # also for -0.0
     mag = abs(x)
-    if mag < 1e-4 or mag >= 1e7 or math.isinf(mag):
+    if mag < 1e-4 or mag >= 1e7:
         return f"{x:.8e}"
     return f"{x:.9g}"
 
@@ -105,56 +113,123 @@ def format_cell(value) -> str:
     return format_float(float(value))
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """UTF-8, LF line endings, exactly the given header."""
-    lines = [",".join(header)]
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _float_csv_texts(values: List[float]) -> List[str]:
+    """format_float of each value: one `.9g` pass, then format_float
+    again for only the cells it prints otherwise (zero, NaN, |x| < 1e-4
+    or >= 1e7)."""
+    texts = list(map("%.9g".__mod__, values))
+    mag = np.abs(np.array(values))
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e7))).tolist():
+        texts[i] = format_float(values[i])
+    return texts
 
 
-# Item separator of the cells at the sidecar's row indentation.  With
-# `indent` left at None, `encode` runs the C encoder.
-_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-# Rows per encoder call: enough to amortize the call, few enough that no
-# multi-megabyte string is built.  Such strings, made anew on every
-# large sweep, fragmented the heap and raised the process's peak RSS.
-_ROWS_PER_BLOCK = 500
+# A newline between items, and `indent` left at None, so that `encode`
+# runs the C encoder.  A scalar's JSON never holds a raw newline (strings
+# escape it), so splitting the output at newlines yields exactly
+# json.dumps of each item.
+_CELLS_ENCODER = json.JSONEncoder(separators=("\n", ": "))
 
 
-def _sidecar_rows(rows: Sequence[Sequence]) -> str:
-    """The rows as json.dumps(indent=2) lays them out inside the sidecar.
+def _json_texts(values: list) -> List[str]:
+    """json.dumps of each scalar value."""
+    return _CELLS_ENCODER.encode(values)[1:-1].split("\n") if values else []
 
-    One C-encoder call puts every cell in place; only the row brackets
-    then move onto their own lines.  Cells are scalars, whose encoding
-    never holds a raw newline, so "],<sep>[" marks exactly the row
-    boundaries, and "[<newline>      <newline>    ]" exactly an empty row.
+
+# Rows formatted and written at a time, so that no text is held for a
+# whole large table: multi-megabyte strings made anew on every large
+# sweep fragmented the heap and raised the process's peak RSS, and a
+# string per cell of the table doubled the writers' peak memory.
+_BLOCK_ROWS = 1000
+
+
+def _text_blocks(
+    column: Sequence,
+    float_texts: Callable[[List[float]], List[str]],
+    cell_texts: Callable[[list], List[str]],
+) -> Iterator[List[str]]:
+    """The text of each cell of a column, _BLOCK_ROWS cells at a time.
+
+    A column of floats longer than one block goes through `float_texts`,
+    once per distinct bit pattern where values repeat: an axis value
+    repeated down the column is formatted once, while 0.0 and -0.0 stay
+    apart.  Any other column goes through `cell_texts` cell by cell; for
+    a block or less, numpy's fixed cost per call outweighs the saving.
     """
-    text = _ROWS_ENCODER.encode(rows)[1:-1].replace("],\n      [", "\n    ],\n    [\n      ")
-    return ("    [\n      " + text[1:-1] + "\n    ]").replace("[\n      \n    ]", "[]")
+    size = _BLOCK_ROWS
+    if len(column) > size and set(map(type, column)) == {float}:
+        bits, index = np.unique(np.array(column).view(np.uint64), return_inverse=True)
+        if len(bits) < len(column):
+            texts = np.array(float_texts(bits.view(np.float64).tolist()), dtype=object)
+            for start in range(0, len(column), size):
+                yield texts[index[start : start + size]].tolist()
+            return
+        cell_texts = float_texts  # all distinct: the array pass, block by block
+    for start in range(0, len(column), size):
+        yield cell_texts(list(column[start : start + size]))
 
 
-def write_sidecar(path: Path, header: Sequence[str], rows: Sequence[Sequence], metadata: dict) -> None:
+def _csv_blocks(column: Sequence) -> Iterator[List[str]]:
+    """format_cell of each cell of a column, in blocks."""
+    return _text_blocks(column, _float_csv_texts, lambda cells: list(map(format_cell, cells)))
+
+
+def _json_blocks(column: Sequence) -> Iterator[List[str]]:
+    """json.dumps of each scalar cell of a column, in blocks."""
+    return _text_blocks(column, _json_texts, _json_texts)
+
+
+def _row_count(header: Sequence[str], columns: Sequence[Sequence]) -> int:
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for a {len(header)}-name header")
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
+def _write_rows(handle, column_blocks: List[Iterator[List[str]]], cell_sep: str, row_sep: str) -> None:
+    """Write the rows across the columns' text blocks, cells joined by
+    `cell_sep` and rows by `row_sep`."""
+    for i, block in enumerate(zip(*column_blocks)):
+        if i:
+            handle.write(row_sep)
+        handle.write(row_sep.join(map(cell_sep.join, zip(*block))))
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """UTF-8, LF line endings, exactly the given header, then one line per
+    row of the equally long `columns` (one per header name)."""
+    n_rows = _row_count(header, columns)
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        if n_rows:
+            _write_rows(handle, [_csv_blocks(column) for column in columns], ",", "\n")
+            handle.write("\n")
+
+
+def write_sidecar(path: Path, header: Sequence[str], columns: Sequence[Sequence], metadata: dict) -> None:
     """JSON mirror of a CSV plus run metadata (timestamps allowed here).
 
     The bytes are those of json.dumps(doc, indent=2, sort_keys=True) for
-    doc = {"header", "metadata", "rows"}, with the rows (lists or tuples
-    of scalars) encoded in blocks by the C encoder instead of the
-    pure-Python indenting one.
+    doc = {"header", "metadata", "rows"}, where the rows run across the
+    equally long `columns` of scalars.  The cells are encoded a column
+    at a time by the C encoder and laid out as the indenting encoder
+    would.
     """
+    n_rows = _row_count(header, columns)
     text = json.dumps(
         {"header": list(header), "metadata": metadata, "rows": []}, indent=2, sort_keys=True
     )
-    if not rows:
-        parts = [text + "\n"]
-    else:
-        # "rows" sorts last, so the document ends with its empty list.
-        parts = [text[: -len("[]\n}")] + "[\n"]
-        for start in range(0, len(rows), _ROWS_PER_BLOCK):
-            block = _sidecar_rows(rows[start : start + _ROWS_PER_BLOCK])
-            parts.append(",\n" + block if start else block)
-        parts.append("\n  ]\n}\n")
     with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(parts)
+        if not n_rows:
+            handle.write(text + "\n")
+            return
+        # "rows" sorts last, so the document ends with its empty list.
+        handle.write(text[: -len("[]\n}")] + "[\n    [\n      ")
+        blocks = [_json_blocks(column) for column in columns]
+        _write_rows(handle, blocks, ",\n      ", "\n    ],\n    [\n      ")
+        handle.write("\n    ]\n  ]\n}\n")
 
 
 def write_json_atomic(path: Path, document: dict) -> None:

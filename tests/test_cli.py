@@ -2,14 +2,32 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcsim import SweepResult, angular_to_ghz, format_float, ghz_to_angular, load_device, parse_axis
+from qcsim import (
+    ConfigError,
+    LabelingError,
+    RegimeError,
+    SquidState,
+    SweepResult,
+    angular_to_ghz,
+    device_to_dict,
+    effective_coupling,
+    format_float,
+    ghz_to_angular,
+    load_device,
+    parse_axis,
+    qubit_spectrum,
+    solve_dispersion,
+    zz_exact,
+    zz_perturbative,
+)
 from qcsim.cli import main
-from qcsim.sweeps import AxisSpec, device_hash, map_points, write_csv, write_sidecar
+from qcsim.sweeps import AxisSpec, device_hash, format_cell, map_points, write_csv, write_sidecar
 
 HEADERS = {
     "modes.csv": "flux,mode,kl,freq_ghz,lambda,anharm_mhz",
@@ -75,37 +93,83 @@ def test_map_points_preserves_order():
     assert map_points(lambda x: x * x, [1, 2, 3, 4]) == [1, 4, 9, 16]
 
 
-@pytest.mark.parametrize(
-    "rows",
+# Tables as rows of equal width; the writers take them as columns.  Empty
+# rows cannot be expressed as columns: the case that was a single empty
+# row now holds cells that compare equal but encode differently, and the
+# empty rows between other rows are gone.
+TABLES = [
+    [],
+    # cells that compare equal but encode differently, in a mixed column
+    # and in an all-float column with repeats
     [
-        [],
-        [[]],
-        [[1.5]],
-        [[1.0, None, "single"], (2.5e-05, -0.0, "double")],
-        [[math.nan, math.inf, -math.inf, None], [np.float64(0.1), np.float64(1e300), 3, True]],
-        [['quo"te', "back\\slash", "new\nline", "tab\t", "caf\u00e9", "\u96fb\u5b50", "\U0001f600"]],
-        [[0.30000000000000004, 1e-320, 123456789.123, -7], []],
-        [[], ["],\n      [", "[]"], [], ["x]", 2.0], []],
-        # several encoder blocks, with empty rows on their edges
-        [[] if i % 500 in (0, 499) else [i / 3, None if i % 7 else "x"] for i in range(1201)],
+        [0.0, 0.0],
+        [-0.0, -0.0],
+        [1, 0.0],
+        [1.0, -0.0],
+        [True, math.nan],
+        [-0.0, math.inf],
+        [0.0, math.nan],
+        [True, -math.inf],
+        [1, 1.0],
+        [1.0, 1.0],
     ],
-)
+    [[1.5]],
+    [[1.0, None, "single"], (2.5e-05, -0.0, "double")],
+    [[math.nan, math.inf, -math.inf, None], [np.float64(0.1), np.float64(1e300), 3, True]],
+    [['quo"te', "back\\slash", "new\nline", "tab\t", "caf\u00e9", "\u96fb\u5b50", "\U0001f600"]],
+    [[0.30000000000000004, 1e-320, 123456789.123, -7], [5e-324, -1e-320, 1e16, 2**53 + 1]],
+    [["],\n      [", "[]"], ["x]", 2.0]],
+    # several write blocks: distinct floats, a repeated axis, repeated
+    # signed zeros and non-finite values, a mixed column
+    [[i / 3, float(i % 100), (0.0, -0.0, math.nan, -math.inf)[i % 4], None if i % 7 else "x"] for i in range(2501)],
+]
+
+
+def _csv_text(header, rows) -> bytes:
+    """The CSV the writer should produce, built cell by cell."""
+    lines = [",".join(header)] + [",".join(format_cell(cell) for cell in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _header_and_columns(rows):
+    width = len(rows[0]) if rows else 3
+    header = [f"c\u00e9{i}" for i in range(width)]
+    return header, [[row[i] for row in rows] for i in range(width)]
+
+
+@pytest.mark.parametrize("rows", TABLES)
 def test_sidecar_bytes_match_indented_json(tmp_path, rows):
     metadata = {
         "timestamp": "2026-01-01T00:00:00+00:00",
         "idle_ghz": 4.5,
         "errors": [{"row": 0, "omega_c_ghz": 4.0, "error": "pole \"x\""}, {"row": 3, "nested": {"b": [1, None], "a": math.nan}}],
     }
-    header = ["a", "b\u00e9", "c"]
+    header, columns = _header_and_columns(rows)
     path = tmp_path / "s.meta.json"
-    write_sidecar(path, header, rows, metadata)
+    write_sidecar(path, header, columns, metadata)
     doc = {"metadata": metadata, "header": header, "rows": [list(row) for row in rows]}
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+@pytest.mark.parametrize("rows", TABLES)
+def test_csv_bytes_match_per_cell_format(tmp_path, rows):
+    header, columns = _header_and_columns(rows)
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == _csv_text(header, rows)
+
+
+def test_writers_reject_mismatched_columns(tmp_path):
+    for header, columns in ((["a", "b"], [[1.0]]), (["a", "b"], [[1.0], [2.0, 3.0]])):
+        with pytest.raises(ValueError, match="column"):
+            write_csv(tmp_path / "t.csv", header, columns)
+        with pytest.raises(ValueError, match="column"):
+            write_sidecar(tmp_path / "t.meta.json", header, columns, {})
+
+
 def test_csv_writer_uses_lf(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [[1.0, None], [2.0, "x"]])
+    write_csv(path, ["a", "b"], [[1.0, 2.0], [None, "x"]])
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.decode() == "a,b\n1,\n2,x\n"
@@ -342,7 +406,8 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
 @pytest.mark.parametrize("channel", ["single", "double"])
 def test_leakage_csv_matches_pointwise_oracle(config_path, tmp_path, pointwise_leakage, channel):
     # The array-evaluated sweep prints the same 9-digit cells as one
-    # `evolve_two_level` per point, on the benchmark's 20,100-point grid.
+    # `evolve_two_level` per point, on the benchmark's 20,100-point grid,
+    # and its sidecar holds the same rows at full precision.
     out = tmp_path / "out"
     argv = ["leakage", "--amp", "3.9:4.3:201", "--ncz", "1:100:100", "--channel", channel]
     assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
@@ -351,5 +416,70 @@ def test_leakage_csv_matches_pointwise_oracle(config_path, tmp_path, pointwise_l
     comp, leak = pointwise_leakage(load_device(config_path), amps, counts, channel, 40.0)
     grid = [(angular_to_ghz(a), float(n)) for a in amps for n in counts]
     rows = [[a, n, c, p, channel] for (a, n), c, p in zip(grid, comp, leak)]
-    write_csv(tmp_path / "oracle.csv", ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"], rows)
-    assert (out / "leakage.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
+    assert (out / "leakage.csv").read_bytes() == _csv_text(header, rows)
+    sidecar = json.loads((out / "leakage.meta.json").read_text(encoding="utf-8"))
+    assert sidecar["header"] == header
+    assert [r[:2] + r[4:] for r in sidecar["rows"]] == [r[:2] + r[4:] for r in rows]
+    populations = [x for r in sidecar["rows"] for x in r[2:4]]
+    assert populations == pytest.approx([x for r in rows for x in r[2:4]], rel=0, abs=1e-14)
+
+
+def test_sweep_csvs_match_per_cell_oracle(device, benchmark_like_device, tmp_path):
+    # modes, coupling and zz on a seeded device, against the library calls
+    # each row comes from, printed cell by cell.  The coupling and zz grids
+    # start on qubit 1's frequency, so they hold a failed point and a
+    # perturbative pole; the modes grid runs past the last flux branch.
+    dev = benchmark_like_device(device, 5)
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps(device_to_dict(dev)), encoding="utf-8")
+    f1 = angular_to_ghz(qubit_spectrum(dev.qubit1).omega)
+    out = tmp_path / "out"
+    base = ["--config", str(cfg), "--out", str(out)]
+    point_errors = (ConfigError, RegimeError, LabelingError)
+
+    assert main(["modes", "--flux", "0:0.6:13", "--n-modes", "2"] + base) == 0
+    rows = []
+    for flux in parse_axis("0:0.6:13").values():
+        try:
+            modes = solve_dispersion(dev, SquidState(flux=flux), 2, 4)
+        except point_errors:
+            rows.append([flux] + [None] * 5)
+            continue
+        for m in modes:
+            rows.append(
+                [flux, float(m.index), m.kl, angular_to_ghz(m.omega), m.lam, angular_to_ghz(m.anharmonicity) * 1e3]
+            )
+    assert any(row[1] is None for row in rows)
+    assert (out / "modes.csv").read_bytes() == _csv_text(HEADERS["modes.csv"].split(","), rows)
+
+    axis = f"{f1!r}:6.0:10"
+    assert main(["coupling", "--omega-c", axis] + base) == 0
+    rows = []
+    for f in parse_axis(axis).values():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                r = effective_coupling(dev, ghz_to_angular(f))
+        except point_errors:
+            rows.append([f] + [None] * 4)
+            continue
+        rows.append([f] + [angular_to_ghz(g) * 1e3 for g in (r.g12, r.g1c, r.g2c, r.g_eff)])
+    assert rows[0][1] is None
+    assert (out / "coupling.csv").read_bytes() == _csv_text(HEADERS["coupling.csv"].split(","), rows)
+
+    axis = f"{f1!r}:4.8:11"
+    assert main(["zz", "--omega-c", axis] + base) == 0
+    rows = []
+    for f in parse_axis(axis).values():
+        w = ghz_to_angular(f)
+        values = [None] * 5
+        try:
+            values[4] = zz_exact(dev, w)
+            p = zz_perturbative(dev, w)
+            values[:4] = [p.xi2, p.xi3, p.xi4, p.xi_pert]
+        except point_errors:
+            pass
+        rows.append([f] + [None if v is None else angular_to_ghz(v) * 1e6 for v in values])
+    assert rows[0][1:5] == [None] * 4 and rows[0][5] is not None
+    assert (out / "zz.csv").read_bytes() == _csv_text(HEADERS["zz.csv"].split(","), rows)
