@@ -47,6 +47,7 @@ from .crosstalk import (
     zz_orders,
     zz_perturbative,
     zz_report,
+    zz_sweep,
 )
 from .dynamics import (
     BrightDark,

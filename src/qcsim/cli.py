@@ -27,7 +27,7 @@ from . import __version__
 from .circuit import DeviceConfig, SquidState, device_to_dict, load_device, qubit_spectrum
 from .constants import TWO_PI, angular_to_ghz, ghz_to_angular
 from .coupling import effective_coupling, switch_off
-from .crosstalk import DEFAULT_COUPLER_ANHARM, zz_exact, zz_perturbative, zz_report
+from .crosstalk import DEFAULT_COUPLER_ANHARM, zz_report, zz_sweep
 from .dynamics import leakage_sweep, propagator
 from .errors import ConfigError, LabelingError, RegimeError
 from .modes import flux_for_frequency, fundamental_approx, solve_dispersion
@@ -222,32 +222,19 @@ def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> Li
         device = dataclasses.replace(
             device, caps=dataclasses.replace(device.caps, c12=args.c12)
         )
+    f_values = axis.values()
     anharm = ghz_to_angular(args.anharm_mhz * 1e-3)
-    errors: List[dict] = []
-
-    def point(f_ghz: float):
-        """(xi2, xi3, xi4, xi_pert, xi_exact) in rad/ns, None where not
-        computed, and the error to record for the point."""
-        omega_c = ghz_to_angular(f_ghz)
-        try:
-            exact = zz_exact(device, omega_c, anharm)
-        except _POINT_ERRORS as exc:
-            return (None,) * 5, exc
-        try:
-            pert = zz_perturbative(device, omega_c, anharm)
-        except RegimeError as exc:
-            # A perturbative pole leaves the exact value well defined.
-            return (None,) * 4 + (exact,), exc
-        return (pert.xi2, pert.xi3, pert.xi4, pert.xi_pert, exact), None
-
-    results = map_points(point, axis.values())
-    rows: List[list] = []
-    for f_ghz, (values, exc) in zip(axis.values(), results):
-        if exc is not None:
-            errors.append({"row": len(rows), "omega_c_ghz": f_ghz, "error": str(exc)})
-        rows.append([f_ghz] + [None if w is None else angular_to_ghz(w) * 1e6 for w in values])
+    result = zz_sweep(device, [ghz_to_angular(f) for f in f_values], anharm)
+    errors = [
+        {"row": e["row"], "omega_c_ghz": f_values[e["row"]], "error": e["error"]}
+        for e in result.metadata["errors"]
+    ]
+    columns = [f_values] + [
+        [None if w is None else angular_to_ghz(w) * 1e6 for w in column]
+        for column in result.columns.values()
+    ]
     header = ["omega_c_ghz", "xi2_khz", "xi3_khz", "xi4_khz", "xi_pert_khz", "xi_exact_khz"]
-    return _emit(out_dir, "zz", header, list(zip(*rows)), _metadata(device, args), errors)
+    return _emit(out_dir, "zz", header, columns, _metadata(device, args), errors)
 
 
 def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:

@@ -13,6 +13,15 @@ computed two ways and cross-validated:
   exactly whatever the truncation, with dressed eigenstates labeled by
   maximum overlap against the bare states inside each block.
 
+`zz_sweep` evaluates both over a whole coupler axis: the Hamiltonian on
+the states with at most two excitations is built as a stack of
+matrices, one per point, each of its blocks is solved by one batched
+`eigh`, and the labeling guards, the pole test and the orders run over
+the axis as arrays.  A point that fails a labeling guard or sits at a pole
+is reported on its own and the rest of the axis is kept.  `zz_exact`,
+`zz_perturbative` and `zz_report` are one-point calls into the same
+code and raise that point's error.
+
 The dense Hamiltonian on a truncated product basis (`build_hamiltonian`,
 `label_spectrum`) is kept as the reference the block solver is tested
 against.
@@ -27,15 +36,16 @@ exact-diagonalization route is the arbiter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import DeviceConfig, QubitSpectrum, qubit_spectrum
+from .circuit import DeviceConfig, qubit_spectrum
 from .constants import TWO_PI
-from .coupling import direct_coupling, qubit_coupler_coupling
+from .coupling import coupler_coupling_scale, direct_coupling, qubit_coupler_coupling
 from .errors import LabelingError, RegimeError
+from .sweeps import SweepResult
 
 # Two-photon anharmonicity of the coupler ladder used when none is
 # supplied; matches the value adopted for the crosstalk analysis.
@@ -88,13 +98,62 @@ def coupler_shifts(anharm: float, n_levels: int) -> Tuple[float, ...]:
     return tuple((6 * m * m + 6 * m + 3) * anharm / 24.0 for m in range(n_levels))
 
 
-def _check_poles(denominators: Dict[str, float]) -> None:
-    for name, value in denominators.items():
-        if abs(value) < POLE_MARGIN:
-            raise RegimeError(
-                f"perturbative pole: |{name}| = {abs(value):.4e} rad/ns "
-                f"< {POLE_MARGIN:.4e}"
-            )
+def _denominators(
+    w1: float, w2: float, a1: float, a2: float, omega_c, delta_c_anharm: float
+) -> Tuple[Tuple[str, object], ...]:
+    """The perturbative denominators, named, in the order a pole among
+    them is reported."""
+    d12 = w1 - w2
+    d1, d2 = w1 - omega_c, w2 - omega_c
+    return (
+        ("delta_12 + alpha_1", d12 + a1),
+        ("delta_12 - alpha_2", d12 - a2),
+        ("delta_12 + alpha_2", d12 + a2),
+        ("delta_12", d12),
+        ("delta_1", d1),
+        ("delta_2", d2),
+        ("delta_1 + delta_2 - anharm_c", d1 + d2 - delta_c_anharm),
+    )
+
+
+def _pole_errors(denominators: Sequence[Tuple[str, object]], n_points: int) -> List[Optional[str]]:
+    """Per point, the message for the first denominator within
+    POLE_MARGIN of zero, or None."""
+    size = np.empty((len(denominators), n_points))
+    for row, (_, value) in zip(size, denominators):
+        row[:] = value
+    near = np.abs(size, out=size) < POLE_MARGIN
+    errors: List[Optional[str]] = [None] * n_points
+    for i in np.flatnonzero(near.any(axis=0)).tolist():
+        first = int(near[:, i].argmax())
+        errors[i] = (
+            f"perturbative pole: |{denominators[first][0]}| = {size[first, i]:.4e} rad/ns "
+            f"< {POLE_MARGIN:.4e}"
+        )
+    return errors
+
+
+def _orders(w1, w2, a1, a2, g12, g1c, g2c, omega_c, delta_c_anharm) -> Tuple:
+    """(xi2, xi3, xi4) without the pole check; see `zz_orders`."""
+    # Squares are written as products: Python's ** goes through pow and
+    # numpy's through a multiply, which now and then differ in the last
+    # bit, and float and array inputs must give the same orders.
+    d12 = w1 - w2
+    d1, d2 = w1 - omega_c, w2 - omega_c
+    gg = g1c * g2c
+    gg2 = gg * gg
+    xi2 = 2.0 * (g12 * g12) * (a1 + a2) / ((d12 + a1) * (d12 - a2))
+    xi3 = 2.0 * g12 * gg * (
+        (1.0 / d1) * (2.0 / (d12 - a2) - 1.0 / d12)
+        - (1.0 / d2) * (2.0 / (d12 + a2) - 1.0 / d12)
+    )
+    paths = 1.0 / d1 + 1.0 / d2
+    xi4 = (
+        2.0 * gg2 / (d1 + d2 - delta_c_anharm) * (paths * paths)
+        + gg2 / (d1 * d1) * (2.0 / (d12 - a2) - 1.0 / d12 - 1.0 / d2)
+        - gg2 / (d2 * d2) * (2.0 / (d12 + a1) - 1.0 / d12 + 1.0 / d1)
+    )
+    return xi2, xi3, xi4
 
 
 def zz_orders(
@@ -103,79 +162,27 @@ def zz_orders(
     a1: float,
     a2: float,
     g12: float,
-    g1c: float,
-    g2c: float,
-    omega_c: float,
+    g1c,
+    g2c,
+    omega_c,
     delta_c_anharm: float = DEFAULT_COUPLER_ANHARM,
-) -> Tuple[float, float, float]:
-    """Scalar core of the perturbative expansion: (xi2, xi3, xi4) from
-    bare frequencies, anharmonicities and couplings (all rad/ns).
+) -> Tuple:
+    """Perturbative expansion: (xi2, xi3, xi4) from bare frequencies,
+    anharmonicities and couplings (all rad/ns).
 
-    The second order carries only the direct coupling, the third order
-    the g12*g1c*g2c interference, the fourth order the mediated paths
-    including the two-photon coupler state.  Raises near any pole,
-    naming the offending denominator.
+    `g1c`, `g2c` and `omega_c` are floats, or equally long numpy arrays
+    over a coupler axis, for which xi3 and xi4 come back as arrays (xi2
+    holds no coupler term).  The second order carries only the direct
+    coupling, the third order the g12*g1c*g2c interference, the fourth
+    order the mediated paths including the two-photon coupler state.
+    Raises near any pole, naming the offending denominator of the first
+    point that has one.
     """
-    d12 = w1 - w2
-    d1, d2 = w1 - omega_c, w2 - omega_c
-    _check_poles(
-        {
-            "delta_12 + alpha_1": d12 + a1,
-            "delta_12 - alpha_2": d12 - a2,
-            "delta_12 + alpha_2": d12 + a2,
-            "delta_12": d12,
-            "delta_1": d1,
-            "delta_2": d2,
-            "delta_1 + delta_2 - anharm_c": d1 + d2 - delta_c_anharm,
-        }
-    )
-    gg = g1c * g2c
-    xi2 = 2.0 * g12**2 * (a1 + a2) / ((d12 + a1) * (d12 - a2))
-    xi3 = 2.0 * g12 * gg * (
-        (1.0 / d1) * (2.0 / (d12 - a2) - 1.0 / d12)
-        - (1.0 / d2) * (2.0 / (d12 + a2) - 1.0 / d12)
-    )
-    xi4 = (
-        2.0 * gg**2 / (d1 + d2 - delta_c_anharm) * (1.0 / d1 + 1.0 / d2) ** 2
-        + gg**2 / d1**2 * (2.0 / (d12 - a2) - 1.0 / d12 - 1.0 / d2)
-        - gg**2 / d2**2 * (2.0 / (d12 + a1) - 1.0 / d12 + 1.0 / d1)
-    )
-    return xi2, xi3, xi4
-
-
-def zz_perturbative(
-    device: DeviceConfig,
-    omega_c: float,
-    delta_c_anharm: float = DEFAULT_COUPLER_ANHARM,
-) -> ZZReport:
-    """Second-through-fourth order ZZ shift at one coupler frequency.
-
-    `delta_c_anharm` is the coupler two-photon anharmonicity
-    (shift_2 - shift_1, rad/ns) entering the fourth order's two-photon
-    denominator.  Raises near any perturbative pole, naming it.
-    """
-    s1 = qubit_spectrum(device.qubit1)
-    s2 = qubit_spectrum(device.qubit2)
-    xi2, xi3, xi4 = zz_orders(
-        s1.omega,
-        s2.omega,
-        s1.alpha,
-        s2.alpha,
-        direct_coupling(device),
-        qubit_coupler_coupling(device, 1, omega_c),
-        qubit_coupler_coupling(device, 2, omega_c),
-        omega_c,
-        delta_c_anharm,
-    )
-    return ZZReport(
-        omega_c=omega_c,
-        xi2=xi2,
-        xi3=xi3,
-        xi4=xi4,
-        xi_pert=xi2 + xi3 + xi4,
-        xi_exact=None,
-        delta_qubit=s1.omega - s2.omega,
-    )
+    denominators = _denominators(w1, w2, a1, a2, omega_c, delta_c_anharm)
+    for error in _pole_errors(denominators, np.size(omega_c)):
+        if error is not None:
+            raise RegimeError(error)
+    return _orders(w1, w2, a1, a2, g12, g1c, g2c, omega_c, delta_c_anharm)
 
 
 def _lowering(n: int) -> np.ndarray:
@@ -253,40 +260,52 @@ class LabeledSpectrum:
         return self.energies[self.labels.index(label)]
 
 
+def _label_error(
+    wanted: Sequence[Label], dressed: Sequence[int], overlaps: Sequence[float]
+) -> Optional[str]:
+    """The first guard that fails when each bare label in turn takes the
+    dressed state `dressed[i]` with overlap `overlaps[i]`, or None."""
+    taken: dict[int, Label] = {}
+    for label, k, weight in zip(wanted, dressed, overlaps):
+        if weight < OVERLAP_MIN:
+            return (
+                f"bare state {label} has maximum dressed overlap "
+                f"{weight:.3f} < {OVERLAP_MIN}; labeling ambiguous"
+            )
+        if k in taken:
+            return f"labels {taken[k]} and {label} map to the same dressed state"
+        taken[k] = label
+    return None
+
+
 def _match_labels(
     evals: np.ndarray,
     evecs: np.ndarray,
     wanted: Sequence[Label],
     rows: Sequence[int],
-) -> LabeledSpectrum:
+) -> Tuple[np.ndarray, np.ndarray, List[Optional[str]]]:
     """Assign each bare label (basis row `rows[i]`) to the eigenvector of
-    maximum overlap.
+    maximum overlap, at every point of a stack of eigensystems (`evals`
+    of shape (points, n), `evecs` of shape (points, n, n)).
 
     Every assignment must have overlap >= 0.5 and assignments must be
     distinct (a bijection onto the retained subspace); anticrossing
-    regions violate one of the two and raise instead of silently
-    swapping labels.
+    regions violate one of the two.  Returns the energies and overlaps,
+    shape (points, len(wanted)), and per point the `LabelingError`
+    message of its first failed guard, or None where all hold.
     """
-    taken: dict[int, Label] = {}
-    energies, overlaps = [], []
-    for label, row in zip(wanted, rows):
-        weights = np.abs(evecs[row, :]) ** 2
-        k = int(np.argmax(weights))
-        if weights[k] < OVERLAP_MIN:
-            raise LabelingError(
-                f"bare state {label} has maximum dressed overlap "
-                f"{weights[k]:.3f} < {OVERLAP_MIN}; labeling ambiguous"
-            )
-        if k in taken:
-            raise LabelingError(
-                f"labels {taken[k]} and {label} map to the same dressed state"
-            )
-        taken[k] = label
-        energies.append(float(evals[k]))
-        overlaps.append(float(weights[k]))
-    return LabeledSpectrum(
-        labels=tuple(wanted), energies=tuple(energies), overlaps=tuple(overlaps)
-    )
+    weights = np.abs(evecs[:, rows, :]) ** 2
+    dressed = weights.argmax(axis=2)
+    points = np.arange(len(evals))[:, None]
+    overlaps = weights[points, np.arange(len(wanted)), dressed]
+    # A point passes when every overlap holds and no two labels share a
+    # dressed state; only the others are walked label by label.
+    errors = [
+        None if min(best) >= OVERLAP_MIN and len(set(states)) == len(states)
+        else _label_error(wanted, states, best)
+        for states, best in zip(dressed.tolist(), overlaps.tolist())
+    ]
+    return evals[points, dressed], overlaps, errors
 
 
 def label_spectrum(
@@ -299,59 +318,165 @@ def label_spectrum(
     guards of `_match_labels`."""
     evals, evecs = np.linalg.eigh(hamiltonian)
     rows = [bare_index(label, trunc.dims) for label in wanted]
-    return _match_labels(evals, evecs, wanted, rows)
-
-
-def _block_states(n: int) -> Tuple[Label, ...]:
-    """Bare states |n1, nc, n2> with n1 + nc + n2 = n."""
-    return tuple(
-        (n1, nc, n - n1 - nc) for n1 in range(n, -1, -1) for nc in range(n - n1, -1, -1)
+    energies, overlaps, errors = _match_labels(evals[None], evecs[None], wanted, rows)
+    if errors[0] is not None:
+        raise LabelingError(errors[0])
+    return LabeledSpectrum(
+        labels=tuple(wanted),
+        energies=tuple(energies[0].tolist()),
+        overlaps=tuple(overlaps[0].tolist()),
     )
+
+
+# Bare states |n1, nc, n2> with at most two excitations, in blocks of
+# equal excitation number N = n1 + nc + n2 (1, 3 and 6 states).
+_STATES = tuple(
+    (n1, nc, n - n1 - nc) for n in range(3) for n1 in range(n, -1, -1) for nc in range(n - n1, -1, -1)
+)
+_N1, _NC, _N2 = np.array(_STATES).T
+
+
+def _exchange_elements():
+    """(row, column, coupling: 0 = g1c, 1 = g2c, 2 = g12, sqrt(n)
+    amplitude) of the exchange elements between `_STATES`, as in
+    `build_hamiltonian`."""
+    index = {state: i for i, state in enumerate(_STATES)}
+    for i, (n1, nc, n2) in enumerate(_STATES):
+        for g, target, amplitude in (
+            (0, (n1 + 1, nc - 1, n2), math.sqrt(n1 + 1) * math.sqrt(nc)),
+            (1, (n1, nc - 1, n2 + 1), math.sqrt(n2 + 1) * math.sqrt(nc)),
+            (2, (n1 + 1, nc, n2 - 1), math.sqrt(n1 + 1) * math.sqrt(n2)),
+        ):
+            if target in index:
+                yield i, index[target], g, amplitude
+
+
+_HOP_I, _HOP_J, _HOP_G, _HOP_AMP = map(np.array, zip(*_exchange_elements()))
+
+
+def _block(n: int, wanted: Tuple[Label, ...]) -> Tuple[slice, Tuple[Label, ...], Tuple[int, ...]]:
+    """The states of `_STATES` with N = n as a slice, the labels wanted
+    from the block, and their rows in it."""
+    members = [i for i, state in enumerate(_STATES) if sum(state) == n]
+    rows = tuple(_STATES.index(label) - members[0] for label in wanted)
+    return slice(members[0], members[-1] + 1), wanted, rows
 
 
 # The blocks holding E(0,0,0), E(1,0,0)/E(0,0,1) and E(1,0,1), with the
 # labels wanted from each.
-_BLOCKS = (
-    (_block_states(0), ((0, 0, 0),)),
-    (_block_states(1), ((1, 0, 0), (0, 0, 1))),
-    (_block_states(2), ((1, 0, 1),)),
-)
+_BLOCKS = (_block(0, ((0, 0, 0),)), _block(1, ((1, 0, 0), (0, 0, 1))), _block(2, ((1, 0, 1),)))
 
 
-def _block_hamiltonian(
-    states: Sequence[Label],
-    s1: QubitSpectrum,
-    s2: QubitSpectrum,
-    omega_c: float,
-    shifts: Sequence[float],
-    g1c: float,
-    g2c: float,
-    g12: float,
-) -> np.ndarray:
-    """One excitation-number block of the `build_hamiltonian` matrix:
-    the same Duffing, coupler-shift and sqrt(n) exchange elements,
-    restricted to `states`."""
-    index = {state: i for i, state in enumerate(states)}
-    h = np.zeros((len(states), len(states)))
-    for i, (n1, nc, n2) in enumerate(states):
-        h[i, i] = (
-            s1.omega * n1
-            + 0.5 * s1.alpha * n1 * (n1 - 1)
-            + omega_c * nc
-            + shifts[nc]
-            + s2.omega * n2
-            + 0.5 * s2.alpha * n2 * (n2 - 1)
-        )
-        hops = (
-            (g1c, (n1 + 1, nc - 1, n2), math.sqrt(n1 + 1) * math.sqrt(nc)),
-            (g2c, (n1, nc - 1, n2 + 1), math.sqrt(n2 + 1) * math.sqrt(nc)),
-            (g12, (n1 + 1, nc, n2 - 1), math.sqrt(n1 + 1) * math.sqrt(n2)),
-        )
-        for g, target, amplitude in hops:
-            j = index.get(target)
-            if j is not None:
-                h[i, j] = h[j, i] = g * amplitude
+class _Axis(NamedTuple):
+    """The inputs of `zz_orders` over a coupler axis (rad/ns): bare qubit
+    frequencies and anharmonicities and the direct coupling, then the
+    qubit-coupler couplings and the coupler frequencies as arrays."""
+
+    w1: float
+    w2: float
+    a1: float
+    a2: float
+    g12: float
+    g1c: np.ndarray
+    g2c: np.ndarray
+    omega_c: np.ndarray
+
+
+def _axis(device: DeviceConfig, omega_c: Sequence[float]) -> _Axis:
+    omega_c = np.array(omega_c, dtype=float).reshape(-1)
+    for value in omega_c.tolist():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"omega_c must be positive and finite, got {value}")
+    s1, s2 = qubit_spectrum(device.qubit1), qubit_spectrum(device.qubit2)
+    (scale1, w1), (scale2, w2) = coupler_coupling_scale(device, 1), coupler_coupling_scale(device, 2)
+    return _Axis(
+        s1.omega,
+        s2.omega,
+        s1.alpha,
+        s2.alpha,
+        direct_coupling(device),
+        g1c=scale1 * np.sqrt(w1 * omega_c),
+        g2c=scale2 * np.sqrt(w2 * omega_c),
+        omega_c=omega_c,
+    )
+
+
+def _hamiltonians(axis: _Axis, shifts: Sequence[float]) -> np.ndarray:
+    """The `build_hamiltonian` matrix restricted to `_STATES`, stacked
+    over the axis (points, 10, 10): the same Duffing, coupler-shift and
+    sqrt(n) exchange elements, zero between the blocks."""
+    h = np.zeros((len(axis.omega_c), len(_STATES), len(_STATES)))
+    diagonal = np.arange(len(_STATES))
+    h[:, diagonal, diagonal] = (
+        axis.w1 * _N1
+        + 0.5 * axis.a1 * _N1 * (_N1 - 1)
+        + axis.omega_c[:, None] * _NC
+        + np.array(shifts)[_NC]
+        + axis.w2 * _N2
+        + 0.5 * axis.a2 * _N2 * (_N2 - 1)
+    )
+    couplings = np.array((axis.g1c, axis.g2c, np.broadcast_to(axis.g12, axis.g1c.shape)))
+    exchange = couplings[_HOP_G].T * _HOP_AMP
+    h[:, _HOP_I, _HOP_J] = exchange
+    h[:, _HOP_J, _HOP_I] = exchange
     return h
+
+
+def _exact_over(axis: _Axis, delta_c_anharm: float) -> Tuple[np.ndarray, List[Optional[str]]]:
+    """E(1,0,1) - E(1,0,0) - E(0,0,1) + E(0,0,0) at every point of the
+    axis, from one batched eigh per excitation-number block, and per
+    point the `LabelingError` message of the first failed guard (blocks
+    in order), or None."""
+    h = _hamiltonians(axis, coupler_shifts(delta_c_anharm, 3))
+    energies: List[np.ndarray] = []
+    errors: List[Optional[str]] = [None] * len(axis.omega_c)
+    for block, wanted, rows in _BLOCKS:
+        evals, evecs = np.linalg.eigh(h[:, block, block])
+        block_energies, _, block_errors = _match_labels(evals, evecs, wanted, rows)
+        energies.extend(block_energies.T)
+        errors = [e or b for e, b in zip(errors, block_errors)]
+    e000, e100, e001, e101 = energies
+    return e101 - e100 - e001 + e000, errors
+
+
+def zz_sweep(
+    device: DeviceConfig,
+    omega_c: Sequence[float],
+    delta_c_anharm: float = DEFAULT_COUPLER_ANHARM,
+) -> SweepResult:
+    """Perturbative orders and exact ZZ shift over a coupler-frequency
+    axis `omega_c` (rad/ns), all points at once.
+
+    The columns xi2, xi3, xi4, xi_pert and xi_exact (rad/ns) hold None
+    where a point is not computed: a labeling failure blanks all five,
+    a perturbative pole only the four orders.  metadata["errors"] lists
+    {"row", "omega_c", "error"} for each such point, with the message
+    `zz_exact` (labeling) or else `zz_perturbative` (pole) raises there.
+    """
+    if len(omega_c) == 0:
+        raise ValueError("coupler-frequency axis must be nonempty")
+    axis = _axis(device, omega_c)
+    poles = _pole_errors(_denominators(*axis[:4], axis.omega_c, delta_c_anharm), len(axis.omega_c))
+    with np.errstate(all="ignore"):
+        # numpy scalars, so that a denominator vanishing exactly at a
+        # pole gives inf instead of raising ZeroDivisionError
+        xi2, xi3, xi4 = _orders(*map(np.float64, axis[:5]), *axis[5:], delta_c_anharm)
+    xi_exact, labeling = _exact_over(axis, delta_c_anharm)
+    xi2 = np.broadcast_to(xi2, xi3.shape)
+    columns = [c.tolist() for c in (xi2, xi3, xi4, xi2 + xi3 + xi4, xi_exact)]
+    errors = []
+    for row, (pole, label) in enumerate(zip(poles, labeling)):
+        if label is None and pole is None:
+            continue
+        for column in columns if label else columns[:4]:
+            column[row] = None
+        errors.append({"row": row, "omega_c": float(axis.omega_c[row]), "error": label or pole})
+    names = ("xi2", "xi3", "xi4", "xi_pert", "xi_exact")
+    return SweepResult(
+        axes={"omega_c": tuple(axis.omega_c.tolist())},
+        columns={name: tuple(column) for name, column in zip(names, columns)},
+        metadata={"errors": errors},
+    )
 
 
 def zz_exact(
@@ -366,22 +491,34 @@ def zz_exact(
     at least three levels per subsystem.  Raises `LabelingError` where
     the overlap or bijection guard fails inside a block.
     """
-    params = (
-        qubit_spectrum(device.qubit1),
-        qubit_spectrum(device.qubit2),
-        omega_c,
-        coupler_shifts(delta_c_anharm, 3),
-        qubit_coupler_coupling(device, 1, omega_c),
-        qubit_coupler_coupling(device, 2, omega_c),
-        direct_coupling(device),
+    xi_exact, errors = _exact_over(_axis(device, [omega_c]), delta_c_anharm)
+    if errors[0] is not None:
+        raise LabelingError(errors[0])
+    return float(xi_exact[0])
+
+
+def zz_perturbative(
+    device: DeviceConfig,
+    omega_c: float,
+    delta_c_anharm: float = DEFAULT_COUPLER_ANHARM,
+) -> ZZReport:
+    """Second-through-fourth order ZZ shift at one coupler frequency.
+
+    `delta_c_anharm` is the coupler two-photon anharmonicity
+    (shift_2 - shift_1, rad/ns) entering the fourth order's two-photon
+    denominator.  Raises near any perturbative pole, naming it.
+    """
+    axis = _axis(device, [omega_c])
+    xi2, xi3, xi4 = zz_orders(*axis[:5], *(v.item() for v in axis[5:]), delta_c_anharm)
+    return ZZReport(
+        omega_c=omega_c,
+        xi2=xi2,
+        xi3=xi3,
+        xi4=xi4,
+        xi_pert=xi2 + xi3 + xi4,
+        xi_exact=None,
+        delta_qubit=axis.w1 - axis.w2,
     )
-    energies = []
-    for states, wanted in _BLOCKS:
-        evals, evecs = np.linalg.eigh(_block_hamiltonian(states, *params))
-        rows = [states.index(label) for label in wanted]
-        energies.extend(_match_labels(evals, evecs, wanted, rows).energies)
-    e000, e100, e001, e101 = energies
-    return e101 - e100 - e001 + e000
 
 
 def zz_report(
@@ -392,12 +529,4 @@ def zz_report(
     """Perturbative orders plus the exact-diagonalization value."""
     pert = zz_perturbative(device, omega_c, delta_c_anharm)
     exact = zz_exact(device, omega_c, delta_c_anharm)
-    return ZZReport(
-        omega_c=omega_c,
-        xi2=pert.xi2,
-        xi3=pert.xi3,
-        xi4=pert.xi4,
-        xi_pert=pert.xi_pert,
-        xi_exact=exact,
-        delta_qubit=pert.delta_qubit,
-    )
+    return replace(pert, xi_exact=exact)

@@ -9,8 +9,9 @@ and a manifest is written atomically after every run.
 The CSV and sidecar writers take a table as a header plus one sequence
 per column.  They format a column at a time, with the same result as
 `format_cell` (CSV) and `json.dumps` (sidecar) per cell: a float column
-longer than one block in one array pass over its distinct values, any
-other column cell by cell.  Rows are joined and written a block at a
+longer than one block in one array pass over its distinct values, a
+str column longer than one block once per distinct string, any other
+column cell by cell.  Rows are joined and written a block at a
 time.
 """
 
@@ -153,11 +154,23 @@ def _text_blocks(
     A column of floats longer than one block goes through `float_texts`,
     once per distinct bit pattern where values repeat: an axis value
     repeated down the column is formatted once, while 0.0 and -0.0 stay
-    apart.  Any other column goes through `cell_texts` cell by cell; for
-    a block or less, numpy's fixed cost per call outweighs the saving.
+    apart.  A column of str longer than one block, such as a constant
+    label column, goes through `cell_texts` once per distinct string.
+    The distinct values must all be of type str exactly: 1, 1.0 and
+    True compare equal but print apart, while a str compares equal only
+    to a str.  Any other column goes through `cell_texts` cell by cell;
+    for a block or less, numpy's fixed cost per call outweighs the
+    saving.
     """
     size = _BLOCK_ROWS
-    if len(column) > size and set(map(type, column)) == {float}:
+    if len(column) > size and type(column[0]) is str:
+        distinct = list(dict.fromkeys(column))
+        if all(type(value) is str for value in distinct):
+            text = dict(zip(distinct, cell_texts(distinct))).__getitem__
+            for start in range(0, len(column), size):
+                yield list(map(text, column[start : start + size]))
+            return
+    elif len(column) > size and set(map(type, column)) == {float}:
         bits, index = np.unique(np.array(column).view(np.uint64), return_inverse=True)
         if len(bits) < len(column):
             texts = np.array(float_texts(bits.view(np.float64).tolist()), dtype=object)

@@ -1,13 +1,18 @@
 import importlib.resources
 import random
+import warnings
 
 import pytest
 
 from qcsim import (
     DEFAULT_COUPLER_ANHARM,
     FLUX_MAX,
+    CouplingCaps,
     DeviceConfig,
+    QubitParams,
+    SquidParams,
     SquidState,
+    TransmissionLineParams,
     TruncationSpec,
     TwoLevelProblem,
     build_hamiltonian,
@@ -21,6 +26,7 @@ from qcsim import (
     qubit_spectrum,
     solve_dispersion,
 )
+from qcsim.constants import TWO_PI
 
 CONFIG_PATH = str(importlib.resources.files("qcsim").joinpath("data/reference_device.json"))
 
@@ -35,6 +41,24 @@ def device(config_path) -> DeviceConfig:
     """Bundled reference device: 4.0/4.1 GHz qubits (100/90 fF), 4.87 mm
     line terminated by an asymmetric SQUID, r_L = 0.02, r_C = 0.1."""
     return load_device(config_path)
+
+
+@pytest.fixture(scope="session")
+def degenerate_device() -> DeviceConfig:
+    """Two identical 4.05 GHz qubits with three comparable couplings: the
+    one-excitation states cannot be labeled with the coupler parked
+    between about 4.0 and 4.2 GHz, and every coupler frequency sits on
+    the delta_12 = 0 perturbative pole."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        qubit = QubitParams.from_frequency(100.0, TWO_PI * 4.05)
+        return DeviceConfig(
+            qubit1=qubit,
+            qubit2=qubit,
+            line=TransmissionLineParams(length=4.87, c0=0.16, l0=0.44),
+            squid=SquidParams(ej1=TWO_PI * 2097.812021, ej2=TWO_PI * 1716.391654, cs=77.92),
+            caps=CouplingCaps(c12=1.0, c1c=1.3, c2c=0.9, cc=780.0),
+        )
 
 
 def _dense_zz_exact(

@@ -122,6 +122,10 @@ TABLES = [
     # several write blocks: distinct floats, a repeated axis, repeated
     # signed zeros and non-finite values, a mixed column
     [[i / 3, float(i % 100), (0.0, -0.0, math.nan, -math.inf)[i % 4], None if i % 7 else "x"] for i in range(2501)],
+    # a constant str column over several blocks, as leakage's channel
+    # column is, a str column of two values, and a column that starts
+    # with a str and then holds cells that compare equal but print apart
+    [[i / 7, "single", ("double", 'quo"te')[i % 2], ("x", 1, 1.0, True, 0.0, -0.0)[i % 6]] for i in range(2500)],
 ]
 
 
@@ -298,6 +302,51 @@ def test_zz_pole_blanks_only_perturbative_cells(config_path, tmp_path):
     assert [(e["omega_c_ghz"], "pole" in e["error"]) for e in errors] == [(4.0, True), (4.1, True)]
 
 
+def test_zz_failed_points_stay_local(degenerate_device, tmp_path):
+    # Labeling fails from 4.0 to 4.2 GHz on this device, and every point
+    # sits on the delta_12 pole.  A labeling failure blanks its row, a
+    # pole only the perturbative cells; each point's sidecar error is the
+    # message the one-point call raises there.
+    cfg = tmp_path / "degenerate.json"
+    cfg.write_text(json.dumps(device_to_dict(degenerate_device)), encoding="utf-8")
+    out = tmp_path / "out"
+    axis = parse_axis("3.9:4.3:9").values()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the device is outside the soft regime
+        assert main(["zz", "--omega-c", "3.9:4.3:9", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "zz.csv").read_text().splitlines()[1:]]
+    errors = json.loads((out / "zz.meta.json").read_text())["metadata"]["errors"]
+    assert [(e["row"], e["omega_c_ghz"]) for e in errors] == list(enumerate(axis))
+    labeling = []
+    for f, row, error in zip(axis, rows, errors):
+        w = ghz_to_angular(f)
+        # the first pole in table order, also where delta_1 and delta_2 vanish
+        with pytest.raises(RegimeError, match=r"\|delta_12\| = 0\.0000e\+00"):
+            zz_perturbative(degenerate_device, w)
+        try:
+            exact = zz_exact(degenerate_device, w)
+        except LabelingError as exc:
+            labeling.append(error["error"])
+            assert row[1:] == [""] * 5
+            assert error["error"] == str(exc)
+            continue
+        assert row[1:] == [""] * 4 + [format_cell(angular_to_ghz(exact) * 1e6)]
+        assert error["error"].startswith("perturbative pole: |delta_12|")
+    # 4.0 .. 4.2 GHz fail, their neighbours are filled.  Each message is
+    # the first failed guard: at 4.1 and 4.15 GHz the (0, 0, 1) overlap
+    # fails before its bijection check would.
+    assert labeling == [
+        f"bare state {label} has maximum dressed overlap {overlap} < 0.5; labeling ambiguous"
+        for label, overlap in (
+            ((1, 0, 0), "0.499"),
+            ((1, 0, 0), "0.484"),
+            ((0, 0, 1), "0.485"),
+            ((0, 0, 1), "0.493"),
+            ((0, 0, 1), "0.500"),
+        )
+    ]
+
+
 def test_validate_passes_on_reference_config(config_path, tmp_path, capsys):
     assert main(["validate", "--config", config_path, "--out", str(tmp_path / "v")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -380,6 +429,13 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "0:1:1"]) == 1
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "nan:1:3"]) == 1
     assert main(["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:inf:3"]) == 1
+    # a nonpositive coupler frequency is rejected before anything is written
+    for subcommand in ("zz", "coupling"):
+        capsys.readouterr()
+        out = tmp_path / f"negative_{subcommand}"
+        assert main([subcommand, "--config", config_path, "--out", str(out), "--omega-c=-1:1:3"]) == 1
+        assert "omega_c must be positive" in capsys.readouterr().err
+        assert not out.exists()
     # the block solver needs no truncation, so the flag is gone
     with pytest.raises(SystemExit) as exc:
         main(["zz", "--config", config_path, "--out", str(tmp_path), "--levels", "4"])

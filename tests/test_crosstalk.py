@@ -11,13 +11,8 @@ from scipy.linalg import eigh as scipy_eigh
 
 from qcsim import (
     DEFAULT_COUPLER_ANHARM,
-    CouplingCaps,
-    DeviceConfig,
     LabelingError,
-    QubitParams,
     RegimeError,
-    SquidParams,
-    TransmissionLineParams,
     TruncationSpec,
     build_hamiltonian,
     coupler_shifts,
@@ -28,6 +23,7 @@ from qcsim import (
     zz_orders,
     zz_perturbative,
     zz_report,
+    zz_sweep,
 )
 from qcsim.constants import TWO_PI
 from qcsim.crosstalk import bare_index
@@ -229,11 +225,16 @@ def test_truncation_convergence(device, dense_zz_exact):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_block_solver_matches_dense_oracle(device, seed, dense_zz_exact, benchmark_like_device):
+    # Both the one-point block solver and the sweep over the whole band.
     dev = benchmark_like_device(device, seed)
-    for f_ghz in BAND:
+    sweep = zz_sweep(dev, TWO_PI * BAND)
+    assert sweep.metadata["errors"] == []
+    for f_ghz, swept in zip(BAND, sweep.columns["xi_exact"]):
         block = zz_exact(dev, TWO_PI * f_ghz)
         for levels in (3, 4, 6):
-            assert abs(block - dense_zz_exact(dev, TWO_PI * f_ghz, levels)) <= 1e-12
+            dense = dense_zz_exact(dev, TWO_PI * f_ghz, levels)
+            assert abs(block - dense) <= 1e-12
+            assert abs(swept - dense) <= 1e-12
 
 
 def test_magnitude_band_and_capacitance_suppression(device):
@@ -245,22 +246,12 @@ def test_magnitude_band_and_capacitance_suppression(device):
         assert abs(small_xi) < abs(big_xi)
 
 
-def test_labeling_ambiguity_raises():
+def test_labeling_ambiguity_raises(degenerate_device):
     # Degenerate qubits with the coupler parked on resonance and three
     # comparable couplings smear the one-excitation states over three
     # dressed levels; no overlap reaches the 0.5 threshold.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        qubit = QubitParams.from_frequency(100.0, TWO_PI * 4.05)
-        dev = DeviceConfig(
-            qubit1=qubit,
-            qubit2=qubit,
-            line=TransmissionLineParams(length=4.87, c0=0.16, l0=0.44),
-            squid=SquidParams(ej1=TWO_PI * 2097.812021, ej2=TWO_PI * 1716.391654, cs=77.92),
-            caps=CouplingCaps(c12=1.0, c1c=1.3, c2c=0.9, cc=780.0),
-        )
     with pytest.raises(LabelingError, match="overlap"):
-        zz_exact(dev, TWO_PI * 4.05)
+        zz_exact(degenerate_device, TWO_PI * 4.05)
 
 
 def test_label_spectrum_bijection_and_overlaps(device):
