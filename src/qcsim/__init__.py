@@ -50,9 +50,7 @@ from .crosstalk import (
     zz_sweep,
 )
 from .dynamics import (
-    BrightDark,
     TwoLevelProblem,
-    bright_dark,
     evolve_two_level,
     leakage_sweep,
     propagator,

@@ -214,15 +214,14 @@ class DeviceConfig:
     caps: CouplingCaps
 
     def __post_init__(self) -> None:
-        r_l = self.line.inductive_energy / self.squid.total
-        r_c = self.squid.cs / self.line.total_capacitance
-        if r_l > R_L_MAX:
+        ratios = derive_ratios(self)
+        if ratios.r_l > R_L_MAX:
             raise RegimeError(
-                f"r_L = {r_l:.4f} exceeds {R_L_MAX}: SQUID inductance does not "
+                f"r_L = {ratios.r_l:.4f} exceeds {R_L_MAX}: SQUID inductance does not "
                 "dominate the line; dispersion model invalid"
             )
-        if r_c > R_C_MAX:
-            raise RegimeError(f"r_C = {r_c:.4f} exceeds {R_C_MAX}: capacitive loading too strong")
+        if ratios.r_c > R_C_MAX:
+            raise RegimeError(f"r_C = {ratios.r_c:.4f} exceeds {R_C_MAX}: capacitive loading too strong")
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,8 @@ class DeviceRatios:
 
 
 def derive_ratios(device: DeviceConfig) -> DeviceRatios:
-    """Line energy scale and the two regime ratios.
+    """Line energy scale and the two regime ratios, whose limits
+    DeviceConfig enforces at construction.
 
     r_L is defined against the flux-independent maximal Josephson
     energy ej1+ej2; the flux dependence of the termination enters the
@@ -298,10 +298,6 @@ def derive_ratios(device: DeviceConfig) -> DeviceRatios:
     e_lcav = device.line.inductive_energy
     r_l = e_lcav / device.squid.total
     r_c = device.squid.cs / device.line.total_capacitance
-    if r_l > R_L_MAX:
-        raise RegimeError(f"r_L = {r_l:.4f} exceeds {R_L_MAX}")
-    if r_c > R_C_MAX:
-        raise RegimeError(f"r_C = {r_c:.4f} exceeds {R_C_MAX}")
     return DeviceRatios(e_lcav=e_lcav, v=device.line.phase_velocity, r_l=r_l, r_c=r_c)
 
 

@@ -4,6 +4,8 @@ Subcommands: modes, coupling, switchoff, zz, leakage, validate.  Every
 run reads a JSON device config (--config), writes deterministic data
 files under --out (default ./out) plus a JSON sidecar with metadata and
 per-point errors, and finishes by atomically writing a run manifest.
+A sweep point that fails blanks only its own row and is named in the
+sidecar.  `main` builds its parser once per process and reuses it.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -19,7 +22,7 @@ import time
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .sweeps import (
     RunManifest,
     device_hash,
     format_float,
-    map_points,
     parse_axis,
     write_csv,
     write_json_atomic,
@@ -64,6 +66,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qcs", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcs {__version__}")
@@ -128,58 +131,53 @@ def _emit(
     return [str(csv_path), str(sidecar)]
 
 
+def _sweep_points(
+    values: Sequence[float], key: str, width: int, rows_at: Callable[[float], List[list]]
+) -> Tuple[List[tuple], List[dict]]:
+    """Columns of the rows `rows_at` returns for each axis value, in axis
+    order, and the per-point errors.  A point that raises one of
+    _POINT_ERRORS keeps one row, its axis value followed by blanks, and
+    gets an {"row", key, "error"} entry."""
+    rows: List[list] = []
+    errors: List[dict] = []
+    for value in values:
+        try:
+            rows += rows_at(value)
+        except _POINT_ERRORS as exc:
+            errors.append({"row": len(rows), key: value, "error": str(exc)})
+            rows.append([value] + [None] * (width - 1))
+    return list(zip(*rows)), errors
+
+
 def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
     axis = parse_axis(args.flux)
-    errors: List[dict] = []
-
-    def point(flux: float):
-        try:
-            return solve_dispersion(device, SquidState(flux=flux), args.n_modes, args.m_max)
-        except _POINT_ERRORS as exc:
-            return exc
-
-    results = map_points(point, axis.values())
-    rows: List[list] = []
-    for flux, res in zip(axis.values(), results):
-        if isinstance(res, Exception):
-            errors.append({"row": len(rows), "flux": flux, "error": str(res)})
-            rows.append([flux, None, None, None, None, None])
-            continue
-        for mode in res:
-            rows.append(
-                [
-                    flux,
-                    float(mode.index),
-                    mode.kl,
-                    angular_to_ghz(mode.omega),
-                    mode.lam,
-                    angular_to_ghz(mode.anharmonicity) * 1e3,
-                ]
-            )
     header = ["flux", "mode", "kl", "freq_ghz", "lambda", "anharm_mhz"]
-    return _emit(out_dir, "modes", header, list(zip(*rows)), _metadata(device, args), errors)
+
+    def mode_rows(flux: float) -> List[list]:
+        modes = solve_dispersion(device, SquidState(flux=flux), args.n_modes, args.m_max)
+        return [
+            [
+                flux,
+                float(mode.index),
+                mode.kl,
+                angular_to_ghz(mode.omega),
+                mode.lam,
+                angular_to_ghz(mode.anharmonicity) * 1e3,
+            ]
+            for mode in modes
+        ]
+
+    columns, errors = _sweep_points(axis.values(), "flux", len(header), mode_rows)
+    return _emit(out_dir, "modes", header, columns, _metadata(device, args), errors)
 
 
 def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
     axis = parse_axis(args.omega_c)
-    errors: List[dict] = []
+    header = ["omega_c_ghz", "g12_mhz", "g1c_mhz", "g2c_mhz", "geff_mhz"]
 
-    def point(f_ghz: float):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return effective_coupling(device, ghz_to_angular(f_ghz))
-        except _POINT_ERRORS as exc:
-            return exc
-
-    results = map_points(point, axis.values())
-    rows: List[list] = []
-    for f_ghz, res in zip(axis.values(), results):
-        if isinstance(res, Exception):
-            errors.append({"row": len(rows), "omega_c_ghz": f_ghz, "error": str(res)})
-            rows.append([f_ghz, None, None, None, None])
-            continue
-        rows.append(
+    def coupling_rows(f_ghz: float) -> List[list]:
+        res = effective_coupling(device, ghz_to_angular(f_ghz))
+        return [
             [
                 f_ghz,
                 angular_to_ghz(res.g12) * 1e3,
@@ -187,9 +185,12 @@ def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path)
                 angular_to_ghz(res.g2c) * 1e3,
                 angular_to_ghz(res.g_eff) * 1e3,
             ]
-        )
-    header = ["omega_c_ghz", "g12_mhz", "g1c_mhz", "g2c_mhz", "geff_mhz"]
-    return _emit(out_dir, "coupling", header, list(zip(*rows)), _metadata(device, args), errors)
+        ]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        columns, errors = _sweep_points(axis.values(), "omega_c_ghz", len(header), coupling_rows)
+    return _emit(out_dir, "coupling", header, columns, _metadata(device, args), errors)
 
 
 def _run_switchoff(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
@@ -303,7 +304,7 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
             raise AssertionError("mediated-term identity broken")
 
     def hamiltonian_structure():
-        from .crosstalk import DEFAULT_COUPLER_ANHARM, TruncationSpec, build_hamiltonian, coupler_shifts
+        from .crosstalk import TruncationSpec, build_hamiltonian, coupler_shifts
 
         w_probe = max(qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega)
         trunc = TruncationSpec()

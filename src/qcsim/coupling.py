@@ -207,19 +207,11 @@ _MARGIN = 2.0 * math.pi * 1e-3  # keep 1 MHz clear of the resonance poles
 _GRID = 512
 
 
-def _g_eff_quiet(device: DeviceConfig, omega_c: float) -> float:
-    # The root scan deliberately sweeps past the resonance poles; the
-    # dispersive guard is reported once, at the returned root.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return effective_coupling(device, omega_c).g_eff
-
-
 def _bisect_root(device: DeviceConfig, lo: float, hi: float) -> float:
-    f_lo = _g_eff_quiet(device, lo)
+    f_lo = effective_coupling(device, lo).g_eff
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        f_mid = _g_eff_quiet(device, mid)
+        f_mid = effective_coupling(device, mid).g_eff
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):
@@ -249,36 +241,36 @@ def switch_off(device: DeviceConfig) -> SwitchOffResult:
     ]
     roots: List[float] = []
     endpoint_info = []
-    for lo, hi in branches:
-        if hi <= lo:
-            continue
-        step = (hi - lo) / _GRID
-        prev_x = lo
-        prev_f = _g_eff_quiet(device, prev_x)
-        endpoint_info.append((lo, prev_f))
-        for i in range(1, _GRID + 1):
-            x = lo + i * step
-            f = _g_eff_quiet(device, x)
-            if f == 0.0:
-                roots.append(x)
-            elif (f < 0.0) != (prev_f < 0.0):
-                roots.append(_bisect_root(device, prev_x, x))
-            prev_x, prev_f = x, f
-        endpoint_info.append((hi, prev_f))
-    if not roots:
-        listing = ", ".join(f"g_eff({x:.4f}) = {f:.3e}" for x, f in endpoint_info)
-        raise RegimeError(f"g_eff does not change sign on the searched bands: {listing}")
-
-    def sort_key(root: float):
-        reachable = band[0] <= root <= band[1]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            rep = effective_coupling(device, root)
-        return (not reachable, max(rep.guard1, rep.guard2))
-
-    best = min(roots, key=sort_key)
+    # The scan and its bisections deliberately sweep past the resonance
+    # poles; the dispersive guard is reported once, at the returned root.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
+        for lo, hi in branches:
+            if hi <= lo:
+                continue
+            step = (hi - lo) / _GRID
+            prev_x = lo
+            prev_f = effective_coupling(device, prev_x).g_eff
+            endpoint_info.append((lo, prev_f))
+            for i in range(1, _GRID + 1):
+                x = lo + i * step
+                f = effective_coupling(device, x).g_eff
+                if f == 0.0:
+                    roots.append(x)
+                elif (f < 0.0) != (prev_f < 0.0):
+                    roots.append(_bisect_root(device, prev_x, x))
+                prev_x, prev_f = x, f
+            endpoint_info.append((hi, prev_f))
+        if not roots:
+            listing = ", ".join(f"g_eff({x:.4f}) = {f:.3e}" for x, f in endpoint_info)
+            raise RegimeError(f"g_eff does not change sign on the searched bands: {listing}")
+
+        def sort_key(root: float):
+            reachable = band[0] <= root <= band[1]
+            rep = effective_coupling(device, root)
+            return (not reachable, max(rep.guard1, rep.guard2))
+
+        best = min(roots, key=sort_key)
         report = effective_coupling(device, best)
     reachable = band[0] <= best <= band[1]
     flux_off = flux_for_frequency(device, best) if reachable else None

@@ -13,8 +13,9 @@ the validation battery and the tests check it against.
 
 single channel: one-excitation exchange between the first qubit and the
 coupler, energies (w1, wc), coupling g1c.  double channel: the doubly
-excited computational state against the bright leak combination, whose
-energy in the small-mixing limit is wc + w2, same coupling g1c.
+excited computational state against qubit 2 plus one coupler photon,
+energies (w1 + w2, wc + w2), same coupling g1c; the g12 leg to the
+doubly excited first qubit is left out.
 """
 
 from __future__ import annotations
@@ -81,31 +82,6 @@ def evolve_two_level(problem: TwoLevelProblem, t: float) -> Tuple[float, float]:
     u = propagator(problem.e1, problem.e2, problem.g, t)
     psi = u @ np.array(problem.psi0, dtype=complex)
     return float(abs(psi[0]) ** 2), float(abs(psi[1]) ** 2)
-
-
-@dataclass(frozen=True)
-class BrightDark:
-    """Rotation angle of the bright/dark leak basis and the coupling of
-    the computational state to the bright combination."""
-
-    theta: float
-    reduced_coupling: float
-
-
-def bright_dark(g12: float, g1c: float) -> BrightDark:
-    """Mixing angle theta = atan(sqrt(2)*g12/g1c) between the two leak
-    states, and the bright-state coupling g1c/cos(theta), which reduces
-    to g1c as the mixing vanishes.
-
-    Convention: bright = cos(theta)*|one-each> + sin(theta)*|double>,
-    dark = -sin(theta)*|one-each> + cos(theta)*|double>, so the pair is
-    orthonormal and the dark combination carries no matrix element to
-    the computational state.
-    """
-    if g1c <= 0:
-        raise ValueError(f"g1c must be positive, got {g1c}")
-    theta = math.atan(math.sqrt(2.0) * g12 / g1c)
-    return BrightDark(theta=theta, reduced_coupling=g1c / math.cos(theta))
 
 
 def leakage_sweep(

@@ -203,11 +203,7 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     target.
     """
 
-    def mode1(flux: float) -> float:
-        return solve_dispersion(device, SquidState(flux=flux, phi_s=phi_s), 1)[0].omega
-
-    w_top = mode1(0.0)
-    w_bottom = mode1(FLUX_MAX)
+    w_bottom, w_top = tuning_band(device, phi_s)
     if w_bottom >= w_top:
         raise RegimeError("fundamental mode is not monotone decreasing over the flux branch")
     band = f"[{w_bottom:.6f}, {w_top:.6f}] rad/ns"
@@ -226,7 +222,8 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     r = math.hypot(a, c)
     theta = math.atan2(c, a) + math.acos(min(1.0, max(-1.0, factor / r)))
     flux = min(max(theta / math.pi, 0.0), FLUX_MAX)
-    if abs(mode1(flux) - target_omega) > 1e-6:
+    omega = solve_dispersion(device, SquidState(flux=flux, phi_s=phi_s), 1)[0].omega
+    if abs(omega - target_omega) > 1e-6:
         raise RegimeError(
             f"flux inversion failed to converge at target {target_omega:.6f} rad/ns"
         )

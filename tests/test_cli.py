@@ -26,7 +26,7 @@ from qcsim import (
     zz_exact,
     zz_perturbative,
 )
-from qcsim.cli import main
+from qcsim.cli import _build_parser, main
 from qcsim.sweeps import AxisSpec, device_hash, format_cell, map_points, write_csv, write_sidecar
 
 HEADERS = {
@@ -457,6 +457,33 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
     assert not (tmp_path / "nonfinite").exists()
     assert main(["leakage", "--config", config_path, "--out", str(tmp_path), "--duration-ns", "-5"]) == 1
+
+
+def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path):
+    # One parser serves every call in the process; a usage error or an
+    # override in one call leaves nothing behind for the next.
+    calls = [["zz", "--c12", "0.03"], ["zz"], ["leakage", "--idle", "4.5"], ["leakage"]]
+    with pytest.raises(SystemExit) as exc:
+        main(["zz", "--c12", "oops", "--config", config_path, "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 1
+    for i, argv in enumerate(calls):
+        assert main(argv + ["--config", config_path, "--out", str(tmp_path / "shared" / str(i))]) == 0
+    for i, argv in enumerate(calls):
+        _build_parser.cache_clear()
+        assert main(argv + ["--config", config_path, "--out", str(tmp_path / "fresh" / str(i))]) == 0
+    assert _build_parser() is _build_parser()
+    flags = []
+    for i, argv in enumerate(calls):
+        shared, fresh = tmp_path / "shared" / str(i), tmp_path / "fresh" / str(i)
+        name = argv[0]
+        assert (shared / f"{name}.csv").read_bytes() == (fresh / f"{name}.csv").read_bytes()
+        manifests = [json.loads((d / f"{name}.manifest.json").read_text()) for d in (shared, fresh)]
+        assert manifests[0]["flags"] == manifests[1]["flags"]
+        flags.append(manifests[0]["flags"])
+    assert flags[0]["c12"] == 0.03 and "c12" not in flags[1]
+    assert flags[2]["idle"] == 4.5 and "idle" not in flags[3]
+    assert not {"c12", "omega_c", "anharm_mhz"} & set(flags[3])
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("channel", ["single", "double"])

@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from qcsim import (
     SquidState,
     TwoLevelProblem,
-    bright_dark,
     evolve_two_level,
     leakage_sweep,
     propagator,
@@ -76,19 +75,6 @@ def test_pulse_train_composition():
     assert np.abs(chained - direct).max() <= 1e-9
     u = propagator(e1, e2, g, t)
     assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
-
-
-def test_bright_dark_angles():
-    assert bright_dark(0.0, 0.05).theta == 0.0
-    assert bright_dark(0.0, 0.05).reduced_coupling == pytest.approx(0.05, rel=1e-15)
-    g12 = 0.01
-    out = bright_dark(g12, math.sqrt(2) * g12)
-    assert out.theta == pytest.approx(math.pi / 4, rel=1e-12)
-    # g12/2pi = 1.3 MHz against g1c/2pi = 7.6 MHz
-    out = bright_dark(ghz_to_angular(0.0013), ghz_to_angular(0.0076))
-    assert out.theta == pytest.approx(0.23734540268, rel=1e-9)
-    with pytest.raises(ValueError):
-        bright_dark(0.01, 0.0)
 
 
 def test_dark_mode_reduction_error_bound():
