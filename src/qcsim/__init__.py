@@ -29,6 +29,7 @@ from .coupling import (
     CouplingReport,
     MultimodeCoupling,
     SwitchOffResult,
+    coupling_sweep,
     direct_coupling,
     effective_coupling,
     multimode_effective_coupling,
@@ -65,6 +66,7 @@ from .modes import (
     kerr_coefficient,
     level_shifts,
     mode_nonlinearity,
+    mode_sweep,
     solve_dispersion,
     tuning_band,
 )

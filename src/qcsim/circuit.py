@@ -246,8 +246,10 @@ def derive_squid(squid: SquidParams, state: SquidState) -> SquidDerived:
     """
     d = squid.asymmetry
     theta = math.pi * state.flux
-    e_js = squid.total * math.sqrt(math.cos(theta) ** 2 + d**2 * math.sin(theta) ** 2)
-    phi0 = math.atan2(d * math.sin(theta), math.cos(theta))
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    # Squares as products, as `modes.mode_sweep` computes them over arrays.
+    e_js = squid.total * math.sqrt(cos_t * cos_t + d * d * (sin_t * sin_t))
+    phi0 = math.atan2(d * sin_t, cos_t)
     tilt = math.cos(state.phi_s - phi0)
     if tilt <= 0.0:
         raise RegimeError(

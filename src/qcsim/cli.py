@@ -22,18 +22,18 @@ import time
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .circuit import DeviceConfig, SquidState, device_to_dict, load_device, qubit_spectrum
 from .constants import TWO_PI, angular_to_ghz, ghz_to_angular
-from .coupling import effective_coupling, switch_off
+from .coupling import coupling_sweep, effective_coupling, switch_off
 from .crosstalk import DEFAULT_COUPLER_ANHARM, zz_report, zz_sweep
 from .dynamics import leakage_sweep, propagator
 from .errors import ConfigError, LabelingError, RegimeError
-from .modes import flux_for_frequency, fundamental_approx, solve_dispersion
+from .modes import flux_for_frequency, fundamental_approx, mode_sweep, solve_dispersion
 from .sweeps import (
     RunManifest,
     device_hash,
@@ -43,9 +43,6 @@ from .sweeps import (
     write_json_atomic,
     write_sidecar,
 )
-
-_POINT_ERRORS = (ConfigError, RegimeError, LabelingError)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -131,65 +128,44 @@ def _emit(
     return [str(csv_path), str(sidecar)]
 
 
-def _sweep_points(
-    values: Sequence[float], key: str, width: int, rows_at: Callable[[float], List[list]]
-) -> Tuple[List[tuple], List[dict]]:
-    """Columns of the rows `rows_at` returns for each axis value, in axis
-    order, and the per-point errors.  A point that raises one of
-    _POINT_ERRORS keeps one row, its axis value followed by blanks, and
-    gets an {"row", key, "error"} entry."""
-    rows: List[list] = []
-    errors: List[dict] = []
-    for value in values:
-        try:
-            rows += rows_at(value)
-        except _POINT_ERRORS as exc:
-            errors.append({"row": len(rows), key: value, "error": str(exc)})
-            rows.append([value] + [None] * (width - 1))
-    return list(zip(*rows)), errors
-
-
 def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
-    axis = parse_axis(args.flux)
+    flux = parse_axis(args.flux).values()
+    n = args.n_modes
+    result = mode_sweep(device, flux, n, args.m_max)
+    failed = {e["row"] for e in result.metadata["errors"]}
+    # One row per mode, but a failed flux point keeps one row: its flux
+    # followed by blanks.
+    rows = [r for r in range(result.n_points) if r % n == 0 or r // n not in failed]
+    kl, omega, lam, anharm = (result.columns[k] for k in ("kl", "omega", "lam", "anharmonicity"))
+    columns = [
+        [flux[r // n] for r in rows],
+        [None if kl[r] is None else float(r % n + 1) for r in rows],
+        [kl[r] for r in rows],
+        [None if kl[r] is None else angular_to_ghz(omega[r]) for r in rows],
+        [lam[r] for r in rows],
+        [None if kl[r] is None else angular_to_ghz(anharm[r]) * 1e3 for r in rows],
+    ]
+    # Every failed flux point before the k-th one took one CSV row, not n.
+    errors = [
+        {"row": e["row"] * n - (n - 1) * k, "flux": e["flux"], "error": e["error"]}
+        for k, e in enumerate(result.metadata["errors"])
+    ]
     header = ["flux", "mode", "kl", "freq_ghz", "lambda", "anharm_mhz"]
-
-    def mode_rows(flux: float) -> List[list]:
-        modes = solve_dispersion(device, SquidState(flux=flux), args.n_modes, args.m_max)
-        return [
-            [
-                flux,
-                float(mode.index),
-                mode.kl,
-                angular_to_ghz(mode.omega),
-                mode.lam,
-                angular_to_ghz(mode.anharmonicity) * 1e3,
-            ]
-            for mode in modes
-        ]
-
-    columns, errors = _sweep_points(axis.values(), "flux", len(header), mode_rows)
     return _emit(out_dir, "modes", header, columns, _metadata(device, args), errors)
 
 
 def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
-    axis = parse_axis(args.omega_c)
+    f_values = parse_axis(args.omega_c).values()
+    result = coupling_sweep(device, ghz_to_angular(np.array(f_values)))
+    columns = [f_values] + [
+        [None if g is None else angular_to_ghz(g) * 1e3 for g in result.columns[name]]
+        for name in ("g12", "g1c", "g2c", "g_eff")
+    ]
+    errors = [
+        {"row": e["row"], "omega_c_ghz": f_values[e["row"]], "error": e["error"]}
+        for e in result.metadata["errors"]
+    ]
     header = ["omega_c_ghz", "g12_mhz", "g1c_mhz", "g2c_mhz", "geff_mhz"]
-
-    def coupling_rows(f_ghz: float) -> List[list]:
-        res = effective_coupling(device, ghz_to_angular(f_ghz))
-        return [
-            [
-                f_ghz,
-                angular_to_ghz(res.g12) * 1e3,
-                angular_to_ghz(res.g1c) * 1e3,
-                angular_to_ghz(res.g2c) * 1e3,
-                angular_to_ghz(res.g_eff) * 1e3,
-            ]
-        ]
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        columns, errors = _sweep_points(axis.values(), "omega_c_ghz", len(header), coupling_rows)
     return _emit(out_dir, "coupling", header, columns, _metadata(device, args), errors)
 
 
@@ -279,8 +255,10 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
             checks.append((name, False, str(exc)))
 
     def monotone():
-        grid = np.linspace(0.0, 0.45, 16)
-        freqs = [solve_dispersion(device, SquidState(flux=f), 1)[0].omega for f in grid]
+        sweep = mode_sweep(device, np.linspace(0.0, 0.45, 16))
+        if sweep.metadata["errors"]:
+            raise RegimeError(sweep.metadata["errors"][0]["error"])
+        freqs = sweep.columns["omega"]
         if any(b >= a for a, b in zip(freqs, freqs[1:])):
             raise AssertionError("fundamental mode not strictly decreasing with flux")
 
@@ -304,19 +282,15 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
             raise AssertionError("mediated-term identity broken")
 
     def hamiltonian_structure():
-        from .crosstalk import TruncationSpec, build_hamiltonian, coupler_shifts
+        # The per-point matrices `zz_sweep` diagonalizes block by block.
+        from .crosstalk import _N1, _N2, _NC, _axis, _hamiltonians, coupler_shifts
 
         w_probe = max(qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega)
-        trunc = TruncationSpec()
-        h = build_hamiltonian(
-            device, w_probe + TWO_PI * 0.4, coupler_shifts(DEFAULT_COUPLER_ANHARM, 4), trunc
-        )
+        axis = _axis(device, [w_probe + TWO_PI * 0.4])
+        h = _hamiltonians(axis, coupler_shifts(DEFAULT_COUPLER_ANHARM, 3))[0]
         if not np.array_equal(h, h.T):
             raise AssertionError("three-body Hamiltonian not symmetric")
-        d1, dc, d2 = trunc.dims
-        total = np.array(
-            [n1 + nc + n2 for n1 in range(d1) for nc in range(dc) for n2 in range(d2)]
-        )
+        total = _N1 + _NC + _N2
         nz = np.argwhere(h != 0.0)
         if not np.all(total[nz[:, 0]] == total[nz[:, 1]]):
             raise AssertionError("Hamiltonian mixes excitation-number blocks")

@@ -13,18 +13,25 @@ with D_j = w_j - wc and S_j = w_j + wc.  Above both qubit frequencies
 the mediated term is negative and cancels the direct one at a single
 frequency, the switch-off point.  The rotating-wave multimode variant
 keeps only the 1/D terms and sums over resonator modes.
+
+`effective_coupling` evaluates one coupler frequency and `coupling_sweep`
+a whole axis of them in numpy; both run one formula body, so they give
+the same bits.  The qubit spectra are computed once per call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .circuit import DeviceConfig, qubit_spectrum
 from .errors import RegimeError, RegimeWarning
 from .modes import ModeSolution, flux_for_frequency, tuning_band
+from .sweeps import SweepResult
 
 DISPERSIVE_GUARD = 0.3
 
@@ -57,15 +64,23 @@ class CouplingReport:
     guard2: float
 
 
-def direct_coupling(device: DeviceConfig) -> float:
-    """Direct capacitive qubit-qubit coupling (rad/ns)."""
+def _direct(device: DeviceConfig, w1: float, w2: float) -> float:
     caps = device.caps
-    w1 = qubit_spectrum(device.qubit1).omega
-    w2 = qubit_spectrum(device.qubit2).omega
     c_eff = caps.c12 + caps.c1c * caps.c2c / caps.cc
     return c_eff / (2.0 * math.sqrt(device.qubit1.c_total * device.qubit2.c_total)) * math.sqrt(
         w1 * w2
     )
+
+
+def _scale(device: DeviceConfig, which: int) -> float:
+    qubit = device.qubit1 if which == 1 else device.qubit2
+    c_jc = device.caps.c1c if which == 1 else device.caps.c2c
+    return c_jc / (2.0 * math.sqrt(qubit.c_total * device.caps.cc))
+
+
+def direct_coupling(device: DeviceConfig) -> float:
+    """Direct capacitive qubit-qubit coupling (rad/ns)."""
+    return _direct(device, qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega)
 
 
 def coupler_coupling_scale(device: DeviceConfig, which: int) -> Tuple[float, float]:
@@ -75,25 +90,46 @@ def coupler_coupling_scale(device: DeviceConfig, which: int) -> Tuple[float, flo
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
     qubit = device.qubit1 if which == 1 else device.qubit2
-    c_jc = device.caps.c1c if which == 1 else device.caps.c2c
-    return c_jc / (2.0 * math.sqrt(qubit.c_total * device.caps.cc)), qubit_spectrum(qubit).omega
+    return _scale(device, which), qubit_spectrum(qubit).omega
 
 
 def qubit_coupler_coupling(device: DeviceConfig, which: int, omega_c: float) -> float:
     """Qubit-coupler exchange coupling g_jc = C_jc/(2*sqrt(C_j*Cc)) *
-    sqrt(w_j * wc) for qubit `which` (1 or 2), rad/ns.
-
-    The `coupler_coupling_scale` formula is inlined: `switch_off` calls
-    this about 2,000 times per device, where one more call and tuple per
-    point is about 3% of its Python calls."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
+    sqrt(w_j * wc) for qubit `which` (1 or 2), rad/ns."""
+    scale, w_j = coupler_coupling_scale(device, which)
     if omega_c <= 0:
         raise ValueError(f"omega_c must be positive, got {omega_c}")
-    qubit = device.qubit1 if which == 1 else device.qubit2
-    c_jc = device.caps.c1c if which == 1 else device.caps.c2c
-    w_j = qubit_spectrum(qubit).omega
-    return c_jc / (2.0 * math.sqrt(qubit.c_total * device.caps.cc)) * math.sqrt(w_j * omega_c)
+    return scale * math.sqrt(w_j * omega_c)
+
+
+# CouplingReport's fields after omega_c, in order.
+_FIELDS = tuple(f.name for f in fields(CouplingReport))[1:]
+
+
+def _report_fields(device: DeviceConfig, w1: float, w2: float, omega_c, sqrt) -> tuple:
+    """The `_FIELDS` values at `omega_c` from the bare qubit frequencies,
+    for a float `omega_c` (sqrt = math.sqrt) or an array (np.sqrt).
+    Squares are products, so both give the same bits."""
+    caps = device.caps
+    d1, d2 = w1 - omega_c, w2 - omega_c
+    s1, s2 = w1 + omega_c, w2 + omega_c
+    g12 = _direct(device, w1, w2)
+    g1c = _scale(device, 1) * sqrt(w1 * omega_c)
+    g2c = _scale(device, 2) * sqrt(w2 * omega_c)
+    cap_ratio = caps.c1c * caps.c2c / (caps.cc * math.sqrt(device.qubit1.c_total * device.qubit2.c_total))
+    mediated = omega_c / 8.0 * (1.0 / d1 + 1.0 / d2 - 1.0 / s1 - 1.0 / s2) * cap_ratio * math.sqrt(
+        w1 * w2
+    )
+    mediated_rwa = 0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2)
+    dressed1 = w1 + g1c * g1c * (1.0 / d1 - 1.0 / s1)
+    dressed2 = w2 + g2c * g2c * (1.0 / d2 - 1.0 / s2)
+    guard1, guard2 = abs(g1c / d1), abs(g2c / d2)
+    return (g12, g1c, g2c, g12 + mediated, dressed1, dressed2, d1, d2, s1, s2, g12, mediated,
+            mediated_rwa, guard1, guard2)
+
+
+def _resonance_error(omega_c: float) -> str:
+    return f"omega_c = {omega_c} resonant with a qubit; detuning vanishes"
 
 
 def effective_coupling(device: DeviceConfig, omega_c: float) -> CouplingReport:
@@ -105,47 +141,58 @@ def effective_coupling(device: DeviceConfig, omega_c: float) -> CouplingReport:
     w1 = qubit_spectrum(device.qubit1).omega
     w2 = qubit_spectrum(device.qubit2).omega
     if omega_c == w1 or omega_c == w2:
-        raise RegimeError(f"omega_c = {omega_c} resonant with a qubit; detuning vanishes")
-    caps = device.caps
-    d1, d2 = w1 - omega_c, w2 - omega_c
-    s1, s2 = w1 + omega_c, w2 + omega_c
-    g12 = direct_coupling(device)
-    g1c = qubit_coupler_coupling(device, 1, omega_c)
-    g2c = qubit_coupler_coupling(device, 2, omega_c)
-
-    cap_ratio = caps.c1c * caps.c2c / (caps.cc * math.sqrt(device.qubit1.c_total * device.qubit2.c_total))
-    mediated = omega_c / 8.0 * (1.0 / d1 + 1.0 / d2 - 1.0 / s1 - 1.0 / s2) * cap_ratio * math.sqrt(
-        w1 * w2
-    )
-    mediated_rwa = 0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2)
-
-    guard1, guard2 = abs(g1c / d1), abs(g2c / d2)
-    if max(guard1, guard2) > DISPERSIVE_GUARD:
+        raise RegimeError(_resonance_error(omega_c))
+    if omega_c <= 0:
+        raise ValueError(f"omega_c must be positive, got {omega_c}")
+    report = CouplingReport(omega_c, *_report_fields(device, w1, w2, omega_c, math.sqrt))
+    guard = max(report.guard1, report.guard2)
+    if guard > DISPERSIVE_GUARD:
         warnings.warn(
-            f"dispersive guard |g_jc/D_j| = {max(guard1, guard2):.3f} > "
+            f"dispersive guard |g_jc/D_j| = {guard:.3f} > "
             f"{DISPERSIVE_GUARD} at omega_c = {omega_c:.4f} rad/ns",
             RegimeWarning,
             stacklevel=2,
         )
-    dressed1 = w1 + g1c**2 * (1.0 / d1 - 1.0 / s1)
-    dressed2 = w2 + g2c**2 * (1.0 / d2 - 1.0 / s2)
-    return CouplingReport(
-        omega_c=omega_c,
-        g12=g12,
-        g1c=g1c,
-        g2c=g2c,
-        g_eff=g12 + mediated,
-        dressed1=dressed1,
-        dressed2=dressed2,
-        delta1=d1,
-        delta2=d2,
-        lambda1=s1,
-        lambda2=s2,
-        direct=g12,
-        mediated=mediated,
-        mediated_rwa=mediated_rwa,
-        guard1=guard1,
-        guard2=guard2,
+    return report
+
+
+def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResult:
+    """`effective_coupling` over a coupler-frequency axis `omega_c`
+    (rad/ns), all points at once and with the same bits.
+
+    One column per CouplingReport field after omega_c.  A point exactly
+    resonant with a qubit holds None and metadata["errors"] lists
+    {"row", "omega_c", "error"} for it.  A nonpositive frequency raises
+    ValueError before anything is computed; no RegimeWarning is issued,
+    the guards are columns.
+    """
+    omega_c = np.array(omega_c, dtype=float).reshape(-1)
+    if not omega_c.size:
+        raise ValueError("coupler-frequency axis must be nonempty")
+    values = omega_c.tolist()
+    for value in values:
+        if value <= 0:
+            raise ValueError(f"omega_c must be positive, got {value}")
+    w1 = qubit_spectrum(device.qubit1).omega
+    w2 = qubit_spectrum(device.qubit2).omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = _report_fields(device, w1, w2, omega_c, np.sqrt)
+    resonant = [row for row, value in enumerate(values) if value == w1 or value == w2]
+    columns = {}
+    for name, column in zip(_FIELDS, report):
+        column = np.broadcast_to(column, omega_c.shape).tolist()
+        for row in resonant:
+            column[row] = None
+        columns[name] = tuple(column)
+    return SweepResult(
+        axes={"omega_c": tuple(values)},
+        columns=columns,
+        metadata={
+            "errors": [
+                {"row": row, "omega_c": values[row], "error": _resonance_error(values[row])}
+                for row in resonant
+            ]
+        },
     )
 
 

@@ -18,16 +18,28 @@ photon-number-dependent level shift
 
 whose two-photon anharmonicity shift_2 - shift_1 = -24*lambda*E_line is
 what downstream modules consume.
+
+`mode_sweep` solves a whole flux axis at once: one lockstep numpy
+bisection over the (flux x branch) grid with `_solve_branch`'s brackets,
+midpoints and stopping rule, and the flux factor, Kerr coefficients and
+level shifts as arrays.  It returns the roots `solve_dispersion` returns
+and leaves a flux point the arrays cannot solve to `solve_dispersion`,
+whose error that point then reports.  `solve_dispersion` stays the
+one-point call (flux inversion, tuning band, switch-off).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios, derive_squid
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
+from .sweeps import SweepResult
 
 FLUX_MAX = 0.499  # stay clear of the half-quantum corner
 
@@ -68,6 +80,22 @@ def _residual(x: float, r_c: float, load: float) -> float:
     return x * math.tan(x) + r_c * x * x - load
 
 
+@functools.cache
+def _bracket(n: int) -> Tuple[float, float, float, Tuple[float, ...]]:
+    """Branch n's edges lo and hi, the bisection's left end, and its
+    right-end candidates: the tan pole hi, then points walked in from it
+    by span*1e-15, 1e-14, ... while the step stays below half the span."""
+    lo = (n - 1) * math.pi
+    hi = lo + _HALF_PI
+    span = _HALF_PI
+    candidates = [hi]
+    step = span * 1e-15
+    while step < span * 0.5:
+        candidates.append(hi - step)
+        step *= 10.0
+    return lo, hi, lo + span * 1e-12, tuple(candidates)
+
+
 def _solve_branch(n: int, r_c: float, load: float) -> float:
     """Bisect the dispersion residual inside branch n.
 
@@ -76,20 +104,13 @@ def _solve_branch(n: int, r_c: float, load: float) -> float:
     branch, which is reported as a regime violation.  Bisection runs to
     float resolution so solutions are reproducible to the last ulp.
     """
-    lo = (n - 1) * math.pi
-    hi = lo + _HALF_PI
-    span = _HALF_PI
-
-    a = lo + span * 1e-12
+    lo, hi, a, candidates = _bracket(n)
     fa = _residual(a, r_c, load)
     # Walk in from the pole until the residual evaluates positive.
-    b = hi
-    fb = _residual(b, r_c, load)
-    step = span * 1e-15
-    while fb <= 0.0 and step < span * 0.5:
-        b = hi - step
+    for b in candidates:
         fb = _residual(b, r_c, load)
-        step *= 10.0
+        if fb > 0.0:
+            break
     if fa > 0.0 or fb <= 0.0:
         raise RegimeError(
             f"no dispersion root in branch {n} (kl in ({lo:.6f}, {hi:.6f})): "
@@ -109,12 +130,23 @@ def _solve_branch(n: int, r_c: float, load: float) -> float:
     return 0.5 * (a + b)
 
 
+def _kerr(kl, cos_kl, sin_2kl):
+    """lambda from kl, cos(kl) and sin(2*kl), for floats or arrays; the
+    square is a product, so both give the same bits."""
+    return cos_kl * cos_kl / (4.0 * (1.0 + 2.0 * kl / sin_2kl))
+
+
+def _shift_factors(m_max: int) -> Tuple[int, ...]:
+    """-(6m^2 + 6m + 3) for m = 0..m_max."""
+    return tuple(-(6 * m * m + 6 * m + 3) for m in range(m_max + 1))
+
+
 def kerr_coefficient(kl: float) -> float:
     """Dimensionless quartic-correction coefficient of a mode."""
     s = math.sin(2.0 * kl)
     if s == 0.0:
         raise RegimeError(f"sin(2*kl) vanishes at kl = {kl}; Kerr coefficient undefined")
-    return math.cos(kl) ** 2 / (4.0 * (1.0 + 2.0 * kl / s))
+    return _kerr(kl, math.cos(kl), s)
 
 
 def level_shifts(kl: float, e_lcav: float, m_max: int) -> Tuple[float, ...]:
@@ -122,7 +154,7 @@ def level_shifts(kl: float, e_lcav: float, m_max: int) -> Tuple[float, ...]:
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     lam = kerr_coefficient(kl)
-    return tuple(-(6 * m * m + 6 * m + 3) * lam * e_lcav for m in range(m_max + 1))
+    return tuple(factor * lam * e_lcav for factor in _shift_factors(m_max))
 
 
 def mode_nonlinearity(mode: ModeSolution, e_lcav: float, m_max: int = 4) -> ModeSolution:
@@ -166,6 +198,138 @@ def solve_dispersion(
             )
         )
     return out
+
+
+# np.tan and math.tan differ in the last bit on about 0.5% of inputs,
+# which moves the residual x*tan(x) + r_C*x^2 - load by a few ulp of its
+# terms.  Where x*tan(x) > 2*(r_C*x^2 + load) the residual is far larger
+# than that, and elsewhere its terms stay below 3*(r_C*x^2 + load); so a
+# residual within this share of r_C*hi^2 + load (hi the branch's right
+# edge) is recomputed with math.tan, and every sign is the one
+# `_solve_branch` sees.
+_TAN_SLACK = 64.0 * np.finfo(float).eps
+
+
+def _bisect(a, b, r_c, load, slack):
+    """`_solve_branch`'s bisection at every point of the arrays at once,
+    for brackets whose left residual is negative: the same midpoints,
+    sign tests and stopping rule, so the same roots.  `slack` bounds,
+    per point, the residuals recomputed with math.tan.  A point leaves
+    the lockstep once its bracket stops shrinking."""
+    roots = np.empty_like(a)
+    where = np.arange(a.size)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        done = (mid <= a) | (mid >= b)
+        if done.any():
+            roots[where[done]] = mid[done]
+            live = ~done
+            where, a, b, load, slack, mid = (v[live] for v in (where, a, b, load, slack, mid))
+            if not where.size:
+                return roots
+        # `_residual`, in its order of operations
+        fm = mid * np.tan(mid) + r_c * mid * mid - load
+        close = (np.abs(fm) <= slack).nonzero()[0]
+        if close.size:
+            fm[close] = [_residual(x, r_c, f) for x, f in zip(mid[close].tolist(), load[close].tolist())]
+        # The left residual stays negative, so a root (fm == 0) closes
+        # the bracket on itself.
+        np.copyto(a, mid, where=fm <= 0.0)
+        np.copyto(b, mid, where=fm >= 0.0)
+    roots[where] = 0.5 * (a + b)
+    return roots
+
+
+def _loads(device: DeviceConfig, ratios: DeviceRatios, flux: np.ndarray) -> np.ndarray:
+    """flux_factor / r_L at phi_s = 0 over a flux array, by
+    `derive_squid`'s formulas; NaN where they fail (cos(phi_s - phi0)
+    <= 0, non-finite flux)."""
+    d = device.squid.asymmetry
+    theta = math.pi * flux
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    e_js = device.squid.total * np.sqrt(cos_t * cos_t + d * d * (sin_t * sin_t))
+    # np.arctan2 differs from math.atan2 in the last bit on about 8% of inputs.
+    phi0 = np.array([math.atan2(y, x) for y, x in zip((d * sin_t).tolist(), cos_t.tolist())])
+    tilt = np.cos(0.0 - phi0)
+    load = e_js / device.squid.total * tilt / ratios.r_l
+    load[~(tilt > 0.0)] = np.nan
+    return load
+
+
+def mode_sweep(
+    device: DeviceConfig,
+    flux: Sequence[float],
+    n_modes: int = 1,
+    m_max: int = 4,
+) -> SweepResult:
+    """The lowest `n_modes` modes at every point of a flux axis (phi_s =
+    0), as `solve_dispersion` gives them point by point.
+
+    Row-major over axes flux and mode (1..n_modes), with columns kl,
+    omega (rad/ns), lam and anharmonicity (rad/ns).  Where
+    `solve_dispersion` raises at a flux point, all of its rows hold None
+    and metadata["errors"] lists {"row", "flux", "error"}, with "row"
+    the index on the flux axis.  `m_max` is checked as
+    `solve_dispersion` checks it; no column depends on it, since the
+    anharmonicity takes the m = 1 and 2 level shifts.
+    """
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    if m_max < 2:
+        raise ValueError(f"m_max must be >= 2, got {m_max}")
+    flux = np.array(flux, dtype=float).reshape(-1)
+    if not flux.size:
+        raise ValueError("flux axis must be nonempty")
+    ratios = derive_ratios(device)
+    r_c = ratios.r_c
+    with np.errstate(all="ignore"):
+        load = _loads(device, ratios, flux)
+        kl = np.full((flux.size, n_modes), np.nan)
+        ok = np.empty(kl.shape, dtype=bool)
+        starts, ends, slack = np.empty_like(kl), np.empty_like(kl), np.empty_like(kl)
+        for n in range(1, n_modes + 1):
+            _, hi, a, candidates = _bracket(n)
+            starts[:, n - 1] = a
+            # `_residual` subtracts the load last, so these are its bits.
+            fa = _residual(a, r_c, 0.0) - load
+            # The walk in from the pole: the first candidate whose
+            # residual is positive.
+            terms = np.array([_residual(x, r_c, 0.0) for x in candidates])
+            positive = terms - load[:, None] > 0.0
+            ends[:, n - 1] = np.array(candidates)[positive.argmax(axis=1)]
+            # fa > 0 or no positive candidate: no root in the branch.  A
+            # point with fa == 0 (or a NaN load) goes to `solve_dispersion`.
+            ok[:, n - 1] = positive.any(axis=1) & (fa < 0.0)
+            slack[:, n - 1] = _TAN_SLACK * (r_c * hi * hi + np.abs(load))
+        loads = np.broadcast_to(load[:, None], kl.shape)
+        kl[ok] = _bisect(starts[ok], ends[ok], r_c, loads[ok], slack[ok])
+        sin_2kl = np.sin(2.0 * kl)
+        ok &= sin_2kl != 0.0
+        lam = _kerr(kl, np.cos(kl), sin_2kl)
+        shift1, shift2 = (factor * lam * ratios.e_lcav for factor in _shift_factors(2)[1:])
+    values = {
+        "kl": kl,
+        "omega": kl * _rad_per_kl(device, ratios),
+        "lam": lam,
+        "anharmonicity": shift2 - shift1,
+    }
+    columns = {name: v.reshape(-1).tolist() for name, v in values.items()}
+    errors = []
+    for i in np.flatnonzero(~ok.all(axis=1)).tolist():
+        rows = range(i * n_modes, (i + 1) * n_modes)
+        try:
+            modes = solve_dispersion(device, SquidState(flux=flux[i].item()), n_modes, m_max)
+        except (ConfigError, RegimeError) as exc:
+            errors.append({"row": i, "flux": flux[i].item(), "error": str(exc)})
+            modes = [None] * n_modes
+        for row, mode in zip(rows, modes):
+            for name in columns:
+                columns[name][row] = None if mode is None else getattr(mode, name)
+    return SweepResult(
+        axes={"flux": tuple(flux.tolist()), "mode": tuple(range(1, n_modes + 1))},
+        columns={name: tuple(column) for name, column in columns.items()},
+        metadata={"errors": errors},
+    )
 
 
 def fundamental_approx(device: DeviceConfig, state: SquidState) -> float:

@@ -429,6 +429,13 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "0:1:1"]) == 1
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "nan:1:3"]) == 1
     assert main(["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:inf:3"]) == 1
+    # mode counts the sweep cannot use are rejected before anything is computed
+    for flags, message in ((["--n-modes", "0"], "n_modes must be >= 1"), (["--m-max", "1"], "m_max must be >= 2")):
+        capsys.readouterr()
+        out = tmp_path / f"modes_{flags[0][2:]}"
+        assert main(["modes", "--config", config_path, "--out", str(out)] + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
     # a nonpositive coupler frequency is rejected before anything is written
     for subcommand in ("zz", "coupling"):
         capsys.readouterr()

@@ -9,12 +9,14 @@ import pytest
 
 from qcsim import (
     CouplingCaps,
+    CouplingReport,
     DeviceConfig,
     ModeSolution,
     RegimeError,
     RegimeWarning,
     SquidState,
     angular_to_ghz,
+    coupling_sweep,
     direct_coupling,
     effective_coupling,
     multimode_effective_coupling,
@@ -163,6 +165,52 @@ def test_resonance_and_guard(device):
         effective_coupling(device, w2)
     with pytest.warns(RegimeWarning, match="dispersive guard"):
         effective_coupling(device, w2 + TWO_PI * 0.01)
+
+
+def test_report_couplings_are_the_one_point_calls(device, benchmark_like_device):
+    # effective_coupling computes the qubit spectra once and the three
+    # couplings inline; they must stay the library's one-point values.
+    for dev in (device, benchmark_like_device(device, 3)):
+        for f_ghz in (0.5, 3.2, 4.5, 5.5, 9.0):
+            w = TWO_PI * f_ghz
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                rep = effective_coupling(dev, w)
+            assert rep.g12 == rep.direct == direct_coupling(dev)
+            assert rep.g1c == qubit_coupler_coupling(dev, 1, w)
+            assert rep.g2c == qubit_coupler_coupling(dev, 2, w)
+
+
+def test_coupling_sweep_equals_pointwise_reports(device, benchmark_like_device):
+    # A grid that starts on qubit 1's frequency and ends on qubit 2's:
+    # both resonances are blank rows with effective_coupling's error, and
+    # every other row is its report, bit for bit.
+    for dev in (device, benchmark_like_device(device, 7)):
+        w1 = qubit_spectrum(dev.qubit1).omega
+        w2 = qubit_spectrum(dev.qubit2).omega
+        grid = [w1 + i * TWO_PI * 0.0125 for i in range(240)] + [w2]
+        sweep = coupling_sweep(dev, grid)
+        assert sweep.axes == {"omega_c": tuple(grid)}
+        errors = []
+        for row, w in enumerate(grid):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RegimeWarning)
+                    expected = effective_coupling(dev, w)
+            except RegimeError as exc:
+                errors.append({"row": row, "omega_c": w, "error": str(exc)})
+                assert all(column[row] is None for column in sweep.columns.values())
+                continue
+            assert CouplingReport(w, **{k: v[row] for k, v in sweep.columns.items()}) == expected
+        assert [e["row"] for e in errors] == [0, len(grid) - 1]
+        assert sweep.metadata["errors"] == errors
+
+
+def test_coupling_sweep_rejects_nonpositive_frequency(device):
+    with pytest.raises(ValueError, match="omega_c must be positive, got -1.0"):
+        coupling_sweep(device, [TWO_PI * 4.5, -1.0, 0.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        coupling_sweep(device, [])
 
 
 # --- multimode -----------------------------------------------------------

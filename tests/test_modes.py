@@ -2,11 +2,16 @@
 
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qcsim import (
+    ConfigError,
     DeviceConfig,
     QubitParams,
     RegimeError,
@@ -21,6 +26,7 @@ from qcsim import (
     kerr_coefficient,
     level_shifts,
     mode_nonlinearity,
+    mode_sweep,
     solve_dispersion,
     tuning_band,
 )
@@ -234,3 +240,73 @@ def test_closed_form_inversion_matches_bisection(device, benchmark_like_device, 
         closed = flux_for_frequency(dev, target, phi_s)
         assert abs(closed - bisect_flux_for_frequency(dev, target, phi_s)) <= 1e-10
         assert abs(solve_dispersion(dev, SquidState(flux=closed, phi_s=phi_s), 1)[0].omega - target) <= 1e-9
+
+
+# --- array-valued sweep ----------------------------------------------------
+
+
+def _within_ulps(a: float, b: float, ulps: int = 2) -> bool:
+    return abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A device inside the model's regime (r_L <= 0.1, r_C <= 0.5), drawn
+    around the reference line, and a flux grid that runs from inside the
+    tuning range past the half flux quantum, where the upper branches
+    lose their roots and then the SQUID inductance diverges."""
+    r_l = draw(st.floats(0.002, 0.1))
+    r_c = draw(st.floats(0.0, 0.5, exclude_min=True))
+    asymmetry = draw(st.floats(-0.9, 0.9))
+    start = draw(st.floats(-0.3, 0.45))
+    stop = draw(st.floats(0.45, 1.3))
+    count = draw(st.integers(2, 25))
+    step = (stop - start) / (count - 1)
+    return (
+        (r_l, r_c, asymmetry),
+        [start + i * step for i in range(count)],
+        draw(st.integers(1, 5)),
+        draw(st.integers(2, 6)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_mode_sweep_matches_pointwise_solver(device, case):
+    # The lockstep bisection against `solve_dispersion` at every point:
+    # the same roots and Kerr ladder, and at a point the solver rejects,
+    # the same error on blank rows.
+    (r_l, r_c, asymmetry), flux, n_modes, m_max = case
+    line = device.line
+    # The drawn ratios, moved just inside their bounds against rounding.
+    total = line.inductive_energy / r_l * (1.0 + 1e-9)
+    squid = SquidParams(
+        ej1=total * (1 + asymmetry) / 2,
+        ej2=total * (1 - asymmetry) / 2,
+        cs=r_c * line.total_capacitance * (1.0 - 1e-9),
+    )
+    dev = dataclasses.replace(device, squid=squid)
+    sweep = mode_sweep(dev, flux, n_modes, m_max)
+    assert sweep.axes == {"flux": tuple(flux), "mode": tuple(range(1, n_modes + 1))}
+    errors = []
+    for i, f in enumerate(flux):
+        rows = range(i * n_modes, (i + 1) * n_modes)
+        try:
+            modes = solve_dispersion(dev, SquidState(flux=f), n_modes, m_max)
+        except (ConfigError, RegimeError) as exc:
+            errors.append({"row": i, "flux": f, "error": str(exc)})
+            assert all(sweep.columns[name][r] is None for name in sweep.columns for r in rows)
+            continue
+        for row, mode in zip(rows, modes):
+            for name in ("kl", "omega", "lam", "anharmonicity"):
+                assert _within_ulps(sweep.columns[name][row], getattr(mode, name)), (name, f, mode.index)
+    assert sweep.metadata["errors"] == errors
+
+
+def test_mode_sweep_rejects_unusable_counts(device):
+    with pytest.raises(ValueError, match="n_modes must be >= 1"):
+        mode_sweep(device, [0.0, 0.1], n_modes=0)
+    with pytest.raises(ValueError, match="m_max must be >= 2"):
+        mode_sweep(device, [0.0, 0.1], m_max=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        mode_sweep(device, [])
