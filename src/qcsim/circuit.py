@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Tuple
 
 from .constants import E_CHARGE, FLUX_QUANTUM, HBAR, TWO_PI, angular_to_ghz, ghz_to_angular
 from .errors import ConfigError, RegimeError, RegimeWarning
@@ -234,6 +235,17 @@ class SquidDerived:
     l_sq: float
 
 
+def squid_terms(squid: SquidParams, flux: float, phi_s: float) -> Tuple[float, float, float]:
+    """e_js, phi0 and the tilt cos(phi_s - phi0) at a finite flux bias,
+    unchecked: `derive_squid` and `modes.mode_sweep` both take them from
+    here, so their bits agree."""
+    d = squid.asymmetry
+    theta = math.pi * flux
+    e_js = squid.total * math.sqrt(math.cos(theta) ** 2 + d**2 * math.sin(theta) ** 2)
+    phi0 = math.atan2(d * math.sin(theta), math.cos(theta))
+    return e_js, phi0, math.cos(phi_s - phi0)
+
+
 def derive_squid(squid: SquidParams, state: SquidState) -> SquidDerived:
     """Effective Josephson energy, phase offset and inductance of the
     SQUID at a given flux bias.
@@ -244,13 +256,7 @@ def derive_squid(squid: SquidParams, state: SquidState) -> SquidDerived:
     factor and diverges as that cosine reaches zero, which is treated
     as leaving the model's validity regime.
     """
-    d = squid.asymmetry
-    theta = math.pi * state.flux
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    # Squares as products, as `modes.mode_sweep` computes them over arrays.
-    e_js = squid.total * math.sqrt(cos_t * cos_t + d * d * (sin_t * sin_t))
-    phi0 = math.atan2(d * sin_t, cos_t)
-    tilt = math.cos(state.phi_s - phi0)
+    e_js, phi0, tilt = squid_terms(squid, state.flux, state.phi_s)
     if tilt <= 0.0:
         raise RegimeError(
             f"cos(phi_s - phi0) = {tilt:.3e} <= 0 at flux {state.flux}: "

@@ -131,11 +131,14 @@ def _emit(
 def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
     flux = parse_axis(args.flux).values()
     n = args.n_modes
-    result = mode_sweep(device, flux, n, args.m_max)
-    failed = {e["row"] for e in result.metadata["errors"]}
-    # One row per mode, but a failed flux point keeps one row: its flux
-    # followed by blanks.
+    if args.m_max < 2:
+        raise ValueError(f"m_max must be >= 2, got {args.m_max}")
+    result = mode_sweep(device, flux, n)
+    failed = {e["flux_index"] for e in result.metadata["errors"]}
+    # One CSV row per mode, but a failed flux point takes one CSV row:
+    # its flux followed by blanks.
     rows = [r for r in range(result.n_points) if r % n == 0 or r // n not in failed]
+    csv_row = {r: i for i, r in enumerate(rows)}
     kl, omega, lam, anharm = (result.columns[k] for k in ("kl", "omega", "lam", "anharmonicity"))
     columns = [
         [flux[r // n] for r in rows],
@@ -145,10 +148,9 @@ def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) ->
         [lam[r] for r in rows],
         [None if kl[r] is None else angular_to_ghz(anharm[r]) * 1e3 for r in rows],
     ]
-    # Every failed flux point before the k-th one took one CSV row, not n.
     errors = [
-        {"row": e["row"] * n - (n - 1) * k, "flux": e["flux"], "error": e["error"]}
-        for k, e in enumerate(result.metadata["errors"])
+        {"row": csv_row[e["flux_index"] * n], "flux": e["flux"], "error": e["error"]}
+        for e in result.metadata["errors"]
     ]
     header = ["flux", "mode", "kl", "freq_ghz", "lambda", "anharm_mhz"]
     return _emit(out_dir, "modes", header, columns, _metadata(device, args), errors)

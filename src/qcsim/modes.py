@@ -21,11 +21,14 @@ what downstream modules consume.
 
 `mode_sweep` solves a whole flux axis at once: one lockstep numpy
 bisection over the (flux x branch) grid with `_solve_branch`'s brackets,
-midpoints and stopping rule, and the flux factor, Kerr coefficients and
-level shifts as arrays.  It returns the roots `solve_dispersion` returns
-and leaves a flux point the arrays cannot solve to `solve_dispersion`,
-whose error that point then reports.  `solve_dispersion` stays the
-one-point call (flux inversion, tuning band, switch-off).
+midpoints and stopping rule, and the Kerr coefficients and level shifts
+as arrays.  numpy's tan only decides residual signs that no last-bit
+difference can flip (`math.tan` decides the rest), and every other sine,
+cosine and arctangent comes from `math`, so it returns the bits
+`solve_dispersion` returns on any host.  A flux point the arrays cannot
+solve goes to `solve_dispersion`, whose error that point then reports.
+`solve_dispersion` stays the one-point call (flux inversion, tuning
+band, switch-off).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios, derive_squid
+from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios, derive_squid, squid_terms
 from .errors import ConfigError, RegimeError
 from .sweeps import SweepResult
 
@@ -217,6 +220,8 @@ def _bisect(a, b, r_c, load, slack):
     per point, the residuals recomputed with math.tan.  A point leaves
     the lockstep once its bracket stops shrinking."""
     roots = np.empty_like(a)
+    if not a.size:
+        return roots
     where = np.arange(a.size)
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -241,42 +246,37 @@ def _bisect(a, b, r_c, load, slack):
 
 
 def _loads(device: DeviceConfig, ratios: DeviceRatios, flux: np.ndarray) -> np.ndarray:
-    """flux_factor / r_L at phi_s = 0 over a flux array, by
-    `derive_squid`'s formulas; NaN where they fail (cos(phi_s - phi0)
-    <= 0, non-finite flux)."""
-    d = device.squid.asymmetry
-    theta = math.pi * flux
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    e_js = device.squid.total * np.sqrt(cos_t * cos_t + d * d * (sin_t * sin_t))
-    # np.arctan2 differs from math.atan2 in the last bit on about 8% of inputs.
-    phi0 = np.array([math.atan2(y, x) for y, x in zip((d * sin_t).tolist(), cos_t.tolist())])
-    tilt = np.cos(0.0 - phi0)
-    load = e_js / device.squid.total * tilt / ratios.r_l
-    load[~(tilt > 0.0)] = np.nan
-    return load
+    """flux_factor / r_L at phi_s = 0 at every flux point, from
+    `squid_terms` as `derive_squid` takes them; NaN where
+    `derive_squid` raises (cos(phi_s - phi0) <= 0, non-finite flux)."""
+    total = device.squid.total
+    loads = []
+    for f in flux.tolist():
+        e_js, _, tilt = squid_terms(device.squid, f, 0.0) if math.isfinite(f) else (math.nan,) * 3
+        loads.append(e_js / total * tilt / ratios.r_l if tilt > 0.0 else math.nan)
+    return np.array(loads)
 
 
-def mode_sweep(
-    device: DeviceConfig,
-    flux: Sequence[float],
-    n_modes: int = 1,
-    m_max: int = 4,
-) -> SweepResult:
+def _trig(kl: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """cos(kl) and sin(2*kl) by `math`, as `kerr_coefficient` takes them:
+    numpy's may differ in the last bit, from host to host."""
+    flat = kl.reshape(-1).tolist()
+    cos_kl = np.array([math.cos(x) for x in flat]).reshape(kl.shape)
+    return cos_kl, np.array([math.sin(2.0 * x) for x in flat]).reshape(kl.shape)
+
+
+def mode_sweep(device: DeviceConfig, flux: Sequence[float], n_modes: int = 1) -> SweepResult:
     """The lowest `n_modes` modes at every point of a flux axis (phi_s =
     0), as `solve_dispersion` gives them point by point.
 
     Row-major over axes flux and mode (1..n_modes), with columns kl,
-    omega (rad/ns), lam and anharmonicity (rad/ns).  Where
-    `solve_dispersion` raises at a flux point, all of its rows hold None
-    and metadata["errors"] lists {"row", "flux", "error"}, with "row"
-    the index on the flux axis.  `m_max` is checked as
-    `solve_dispersion` checks it; no column depends on it, since the
-    anharmonicity takes the m = 1 and 2 level shifts.
+    omega (rad/ns), lam and anharmonicity (rad/ns), the same bits
+    `solve_dispersion` gives.  Where `solve_dispersion` raises at a flux
+    point, all of that point's n_modes rows hold None and
+    metadata["errors"] lists {"flux_index", "flux", "error"}.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
     flux = np.array(flux, dtype=float).reshape(-1)
     if not flux.size:
         raise ValueError("flux axis must be nonempty")
@@ -303,9 +303,9 @@ def mode_sweep(
             slack[:, n - 1] = _TAN_SLACK * (r_c * hi * hi + np.abs(load))
         loads = np.broadcast_to(load[:, None], kl.shape)
         kl[ok] = _bisect(starts[ok], ends[ok], r_c, loads[ok], slack[ok])
-        sin_2kl = np.sin(2.0 * kl)
+        cos_kl, sin_2kl = _trig(kl)
         ok &= sin_2kl != 0.0
-        lam = _kerr(kl, np.cos(kl), sin_2kl)
+        lam = _kerr(kl, cos_kl, sin_2kl)
         shift1, shift2 = (factor * lam * ratios.e_lcav for factor in _shift_factors(2)[1:])
     values = {
         "kl": kl,
@@ -318,9 +318,9 @@ def mode_sweep(
     for i in np.flatnonzero(~ok.all(axis=1)).tolist():
         rows = range(i * n_modes, (i + 1) * n_modes)
         try:
-            modes = solve_dispersion(device, SquidState(flux=flux[i].item()), n_modes, m_max)
+            modes = solve_dispersion(device, SquidState(flux=flux[i].item()), n_modes)
         except (ConfigError, RegimeError) as exc:
-            errors.append({"row": i, "flux": flux[i].item(), "error": str(exc)})
+            errors.append({"flux_index": i, "flux": flux[i].item(), "error": str(exc)})
             modes = [None] * n_modes
         for row, mode in zip(rows, modes):
             for name in columns:
