@@ -16,6 +16,10 @@ FLUX_QUANTUM = 2.067833848e-15  # magnetic flux quantum h/(2e), Wb
 
 TWO_PI = 2.0 * math.pi
 
+# Two-photon anharmonicity of the coupler ladder used when none is
+# supplied; matches the value adopted for the crosstalk analysis.
+DEFAULT_COUPLER_ANHARM = -TWO_PI * 0.05  # rad/ns
+
 
 def ghz_to_angular(f_ghz: float) -> float:
     """Ordinary frequency in GHz -> angular frequency in rad/ns."""

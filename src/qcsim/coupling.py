@@ -16,7 +16,8 @@ keeps only the 1/D terms and sums over resonator modes.
 
 `effective_coupling` evaluates one coupler frequency and `coupling_sweep`
 a whole axis of them in numpy; both run one formula body, so they give
-the same bits.  The qubit spectra are computed once per call.
+the same bits.  The qubit spectra are computed once per call.  Only
+`coupling_sweep` imports numpy, so the switch-off search runs without it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .circuit import DeviceConfig, qubit_spectrum
 from .errors import RegimeError, RegimeWarning
@@ -166,6 +165,8 @@ def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResul
     ValueError before anything is computed; no RegimeWarning is issued,
     the guards are columns.
     """
+    import numpy as np
+
     omega_c = np.array(omega_c, dtype=float).reshape(-1)
     if not omega_c.size:
         raise ValueError("coupler-frequency axis must be nonempty")

@@ -42,14 +42,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import DeviceConfig, qubit_spectrum
-from .constants import TWO_PI
+from .constants import DEFAULT_COUPLER_ANHARM, TWO_PI
 from .coupling import coupler_coupling_scale, direct_coupling, qubit_coupler_coupling
 from .errors import LabelingError, RegimeError
 from .sweeps import SweepResult
-
-# Two-photon anharmonicity of the coupler ladder used when none is
-# supplied; matches the value adopted for the crosstalk analysis.
-DEFAULT_COUPLER_ANHARM = -TWO_PI * 0.05  # rad/ns
 
 POLE_MARGIN = TWO_PI * 0.005  # stay 5 MHz clear of perturbative poles
 OVERLAP_MIN = 0.5

@@ -9,7 +9,7 @@ i.e. one evolution of the total hold time.
 `leakage_sweep` evaluates the resulting off-resonant Rabi populations
 over the whole amplitude x gate-count grid as numpy arrays;
 `propagator` and `evolve_two_level` stay as the per-point oracle that
-the validation battery and the tests check it against.
+the tests check it against.
 
 single channel: one-excitation exchange between the first qubit and the
 coupler, energies (w1, wc), coupling g1c.  double channel: the doubly

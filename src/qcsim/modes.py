@@ -28,17 +28,17 @@ cosine and arctangent comes from `math`, so it returns the bits
 `solve_dispersion` returns on any host.  A flux point the arrays cannot
 solve goes to `solve_dispersion`, whose error that point then reports.
 `solve_dispersion` stays the one-point call (flux inversion, tuning
-band, switch-off).
+band, switch-off); it runs on `math` alone, and numpy is imported only
+by `mode_sweep` and its helpers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios, derive_squid, squid_terms
 from .errors import ConfigError, RegimeError
@@ -210,7 +210,7 @@ def solve_dispersion(
 # residual within this share of r_C*hi^2 + load (hi the branch's right
 # edge) is recomputed with math.tan, and every sign is the one
 # `_solve_branch` sees.
-_TAN_SLACK = 64.0 * np.finfo(float).eps
+_TAN_SLACK = 64.0 * sys.float_info.epsilon
 
 
 def _bisect(a, b, r_c, load, slack):
@@ -219,6 +219,8 @@ def _bisect(a, b, r_c, load, slack):
     sign tests and stopping rule, so the same roots.  `slack` bounds,
     per point, the residuals recomputed with math.tan.  A point leaves
     the lockstep once its bracket stops shrinking."""
+    import numpy as np
+
     roots = np.empty_like(a)
     if not a.size:
         return roots
@@ -249,6 +251,8 @@ def _loads(device: DeviceConfig, ratios: DeviceRatios, flux: np.ndarray) -> np.n
     """flux_factor / r_L at phi_s = 0 at every flux point, from
     `squid_terms` as `derive_squid` takes them; NaN where
     `derive_squid` raises (cos(phi_s - phi0) <= 0, non-finite flux)."""
+    import numpy as np
+
     total = device.squid.total
     loads = []
     for f in flux.tolist():
@@ -260,6 +264,8 @@ def _loads(device: DeviceConfig, ratios: DeviceRatios, flux: np.ndarray) -> np.n
 def _trig(kl: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """cos(kl) and sin(2*kl) by `math`, as `kerr_coefficient` takes them:
     numpy's may differ in the last bit, from host to host."""
+    import numpy as np
+
     flat = kl.reshape(-1).tolist()
     cos_kl = np.array([math.cos(x) for x in flat]).reshape(kl.shape)
     return cos_kl, np.array([math.sin(2.0 * x) for x in flat]).reshape(kl.shape)
@@ -275,6 +281,8 @@ def mode_sweep(device: DeviceConfig, flux: Sequence[float], n_modes: int = 1) ->
     point, all of that point's n_modes rows hold None and
     metadata["errors"] lists {"flux_index", "flux", "error"}.
     """
+    import numpy as np
+
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     flux = np.array(flux, dtype=float).reshape(-1)

@@ -12,7 +12,8 @@ per column.  They format a column at a time, with the same result as
 longer than one block in one array pass over its distinct values, a
 str column longer than one block once per distinct string, any other
 column cell by cell.  Rows are joined and written a block at a
-time.
+time.  numpy is imported only for the array passes, so writing a short
+table or a JSON document does not load it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,8 @@ def _float_csv_texts(values: List[float]) -> List[str]:
     """format_float of each value: one `.9g` pass, then format_float
     again for only the cells it prints otherwise (zero, NaN, |x| < 1e-4
     or >= 1e7)."""
+    import numpy as np
+
     texts = list(map("%.9g".__mod__, values))
     mag = np.abs(np.array(values))
     for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e7))).tolist():
@@ -171,6 +172,8 @@ def _text_blocks(
                 yield list(map(text, column[start : start + size]))
             return
     elif len(column) > size and set(map(type, column)) == {float}:
+        import numpy as np
+
         bits, index = np.unique(np.array(column).view(np.uint64), return_inverse=True)
         if len(bits) < len(column):
             texts = np.array(float_texts(bits.view(np.float64).tolist()), dtype=object)

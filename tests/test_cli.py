@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcsim
 from qcsim import (
+    DEFAULT_COUPLER_ANHARM,
     ConfigError,
     LabelingError,
     RegimeError,
@@ -27,6 +32,7 @@ from qcsim import (
     zz_perturbative,
 )
 from qcsim.cli import _build_parser, main
+from qcsim.constants import TWO_PI
 from qcsim.sweeps import AxisSpec, device_hash, format_cell, map_points, write_csv, write_sidecar
 
 HEADERS = {
@@ -430,12 +436,11 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "nan:1:3"]) == 1
     assert main(["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:inf:3"]) == 1
     # mode counts the sweep cannot use are rejected before anything is computed
-    for flags, message in ((["--n-modes", "0"], "n_modes must be >= 1"), (["--m-max", "1"], "m_max must be >= 2")):
-        capsys.readouterr()
-        out = tmp_path / f"modes_{flags[0][2:]}"
-        assert main(["modes", "--config", config_path, "--out", str(out)] + flags) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+    capsys.readouterr()
+    out = tmp_path / "modes_n-modes"
+    assert main(["modes", "--config", config_path, "--out", str(out), "--n-modes", "0"]) == 1
+    assert "n_modes must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
     # a nonpositive coupler frequency is rejected before anything is written
     for subcommand in ("zz", "coupling"):
         capsys.readouterr()
@@ -491,6 +496,49 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
     assert flags[2]["idle"] == 4.5 and "idle" not in flags[3]
     assert not {"c12", "omega_c", "anharm_mhz"} & set(flags[3])
     assert not (tmp_path / "bad").exists()
+
+
+_SWITCHOFF_SCRIPT = """
+import sys
+import qcsim, qcsim.cli
+from qcsim import load_device
+load_device(sys.argv[1])
+assert qcsim.cli.main(["switchoff", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
+    # A fresh process, since this one has numpy loaded: importing the
+    # package and the CLI, loading a device and finding the switch-off
+    # point all run on `math` alone.
+    src = str(Path(qcsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWITCHOFF_SCRIPT, config_path, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "switchoff.json").read_text())["flux_off"] is not None
+
+
+def test_lazy_package_names_resolve_uncached():
+    # crosstalk and dynamics are imported on first access; every public
+    # name resolves, and none is copied into the package namespace.
+    for name in qcsim.__all__:
+        assert getattr(qcsim, name) is not None, name
+    from qcsim import TwoLevelProblem, evolve_two_level, zz_exact
+
+    assert zz_exact is qcsim.crosstalk.zz_exact
+    assert (TwoLevelProblem, evolve_two_level) == (qcsim.dynamics.TwoLevelProblem, qcsim.dynamics.evolve_two_level)
+    assert not {"zz_exact", "TwoLevelProblem", "evolve_two_level", "leakage_sweep"} & set(vars(qcsim))
+    assert {"zz_sweep", "leakage_sweep", "crosstalk"} <= set(dir(qcsim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qcsim.no_such_name
+    # The default moved to `constants` with the same bits.
+    assert qcsim.crosstalk.DEFAULT_COUPLER_ANHARM == DEFAULT_COUPLER_ANHARM == -TWO_PI * 0.05
+    args = _build_parser().parse_args(["zz", "--config", "device.json"])
+    assert args.anharm_mhz == DEFAULT_COUPLER_ANHARM / TWO_PI * 1e3
 
 
 @pytest.mark.parametrize("channel", ["single", "double"])
