@@ -435,7 +435,7 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "0:1:1"]) == 1
     assert main(["modes", "--config", config_path, "--out", str(tmp_path), "--flux", "nan:1:3"]) == 1
     assert main(["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:inf:3"]) == 1
-    # mode counts the sweep cannot use are rejected before anything is computed
+    # a mode count the sweep cannot use is rejected before anything is computed
     capsys.readouterr()
     out = tmp_path / "modes_n-modes"
     assert main(["modes", "--config", config_path, "--out", str(out), "--n-modes", "0"]) == 1
