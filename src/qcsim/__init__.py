@@ -55,7 +55,7 @@ from .modes import (
     solve_dispersion,
     tuning_band,
 )
-from .sweeps import AxisSpec, RunManifest, SweepResult, format_float, parse_axis
+from .sweeps import AxisSpec, SweepResult, format_float, parse_axis
 
 # The public names of the array-only modules, by module.  `__getattr__`
 # looks them up on every access and copies none of them into the

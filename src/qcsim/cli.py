@@ -4,10 +4,13 @@ Subcommands: modes, coupling, switchoff, zz, leakage, validate.  Every
 run reads a JSON device config (--config), writes deterministic data
 files under --out (default ./out) plus a JSON sidecar with metadata and
 per-point errors, and finishes by atomically writing a run manifest.
-A sweep point that fails blanks only its own row and is named in the
-sidecar.  `main` builds its parser once per process and reuses it.
-The zz, leakage and validate runners import the array-only modules
-(and with them numpy) when they run, so `switchoff` never loads numpy.
+Each sweep subcommand (modes, coupling, zz, leakage) is one array sweep
+whose SweepResult `_write_sweep` writes as CSV and sidecar; a sweep
+point that fails blanks only its own row and is named in the sidecar
+as {"row", <first column>, "error"}.  `main` builds its parser once
+per process and reuses it.  The zz, leakage and validate runners
+import the array-only modules (and with them numpy) when they run, so
+`switchoff` never loads numpy.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
@@ -24,7 +27,7 @@ import time
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .circuit import DeviceConfig, SquidState, device_to_dict, load_device, qubit_spectrum
@@ -33,7 +36,7 @@ from .coupling import coupling_sweep, effective_coupling, switch_off
 from .errors import ConfigError, LabelingError, RegimeError
 from .modes import flux_for_frequency, fundamental_approx, mode_sweep, solve_dispersion
 from .sweeps import (
-    RunManifest,
+    SweepResult,
     device_hash,
     format_float,
     parse_axis,
@@ -94,7 +97,6 @@ def _build_parser() -> _Parser:
     p_leak.add_argument("--ncz", default="1:20:20", help="gate count axis start:stop:count")
     p_leak.add_argument("--channel", choices=["single", "double"], default="single")
     p_leak.add_argument("--duration-ns", type=_finite_float, default=40.0)
-    p_leak.add_argument("--idle", type=_finite_float, default=None, help="idle coupler frequency (GHz)")
 
     sub.add_parser("validate", parents=[common], help="run the model invariant battery")
     return parser
@@ -109,61 +111,80 @@ def _metadata(device: DeviceConfig, args: argparse.Namespace) -> dict:
     }
 
 
-def _emit(
+def _write_sweep(
+    device: DeviceConfig,
+    args: argparse.Namespace,
     out_dir: Path,
-    name: str,
     header: Sequence[str],
-    columns: Sequence[Sequence],
-    metadata: dict,
-    errors: List[dict],
+    axes: Sequence[Sequence],
+    result: SweepResult,
+    units: Dict[str, Optional[float]],
 ) -> List[str]:
+    """Write a sweep's `<subcommand>.csv` and sidecar under `out_dir`.
+
+    The columns are the `axes` (output units, outermost first), each
+    repeated row-major over the grid, then the result columns named in
+    `units`: as they are where the unit is None, else
+    angular_to_ghz(value) * unit.  A failed outer point (a one-axis
+    sweep's "row", mode_sweep's "flux_index") takes a single CSV row:
+    its outer-axis value, blank inner axes and its first row's result
+    cells.  Each sidecar error is {"row": <CSV row>, header[0]: <outer-
+    axis value>, "error"}.  Without errors the columns go to the
+    writers as they are.
+    """
+    errors = result.metadata.get("errors", [])
+    failed = [e["flux_index"] if "flux_index" in e else e["row"] for e in errors]
+    n = result.n_points
+    inner = n // len(axes[0])
+    columns = []
+    before, after = 1, n
+    for values in axes:
+        after //= len(values)
+        columns.append([v for v in values for _ in range(after)] * before)
+        before *= len(values)
+    for name, unit in units.items():
+        column = result.columns[name]
+        if unit is not None:
+            column = [None if v is None else angular_to_ghz(v) * unit for v in column]
+        columns.append(column)
+    rows = range(n)
+    if failed:
+        skip = set(failed)
+        rows = [r for r in rows if r % inner == 0 or r // inner not in skip]
+        columns = [
+            [None if 0 < k < len(axes) and r // inner in skip else column[r] for r in rows]
+            for k, column in enumerate(columns)
+        ]
+    metadata = {
+        **_metadata(device, args),
+        **result.metadata,
+        "errors": [
+            {"row": rows.index(i * inner), header[0]: axes[0][i], "error": e["error"]}
+            for i, e in zip(failed, errors)
+        ],
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
+    csv_path = out_dir / f"{args.subcommand}.csv"
     write_csv(csv_path, header, columns)
-    sidecar = out_dir / f"{name}.meta.json"
-    write_sidecar(sidecar, header, columns, {**metadata, "errors": errors})
+    sidecar = out_dir / f"{args.subcommand}.meta.json"
+    write_sidecar(sidecar, header, columns, metadata)
     return [str(csv_path), str(sidecar)]
 
 
 def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
-    flux = parse_axis(args.flux).values()
-    n = args.n_modes
-    result = mode_sweep(device, flux, n)
-    failed = {e["flux_index"] for e in result.metadata["errors"]}
-    # One CSV row per mode, but a failed flux point takes one CSV row:
-    # its flux followed by blanks.
-    rows = [r for r in range(result.n_points) if r % n == 0 or r // n not in failed]
-    csv_row = {r: i for i, r in enumerate(rows)}
-    kl, omega, lam, anharm = (result.columns[k] for k in ("kl", "omega", "lam", "anharmonicity"))
-    columns = [
-        [flux[r // n] for r in rows],
-        [None if kl[r] is None else float(r % n + 1) for r in rows],
-        [kl[r] for r in rows],
-        [None if kl[r] is None else angular_to_ghz(omega[r]) for r in rows],
-        [lam[r] for r in rows],
-        [None if kl[r] is None else angular_to_ghz(anharm[r]) * 1e3 for r in rows],
-    ]
-    errors = [
-        {"row": csv_row[e["flux_index"] * n], "flux": e["flux"], "error": e["error"]}
-        for e in result.metadata["errors"]
-    ]
+    result = mode_sweep(device, parse_axis(args.flux).values(), args.n_modes)
+    axes = [result.axes["flux"], [float(m) for m in result.axes["mode"]]]
     header = ["flux", "mode", "kl", "freq_ghz", "lambda", "anharm_mhz"]
-    return _emit(out_dir, "modes", header, columns, _metadata(device, args), errors)
+    units = {"kl": None, "omega": 1.0, "lam": None, "anharmonicity": 1e3}
+    return _write_sweep(device, args, out_dir, header, axes, result, units)
 
 
 def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
     f_values = parse_axis(args.omega_c).values()
     result = coupling_sweep(device, [ghz_to_angular(f) for f in f_values])
-    columns = [f_values] + [
-        [None if g is None else angular_to_ghz(g) * 1e3 for g in result.columns[name]]
-        for name in ("g12", "g1c", "g2c", "g_eff")
-    ]
-    errors = [
-        {"row": e["row"], "omega_c_ghz": f_values[e["row"]], "error": e["error"]}
-        for e in result.metadata["errors"]
-    ]
     header = ["omega_c_ghz", "g12_mhz", "g1c_mhz", "g2c_mhz", "geff_mhz"]
-    return _emit(out_dir, "coupling", header, columns, _metadata(device, args), errors)
+    units = dict.fromkeys(("g12", "g1c", "g2c", "g_eff"), 1e3)
+    return _write_sweep(device, args, out_dir, header, [f_values], result, units)
 
 
 def _run_switchoff(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
@@ -201,16 +222,9 @@ def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> Li
     f_values = axis.values()
     anharm = ghz_to_angular(args.anharm_mhz * 1e-3)
     result = zz_sweep(device, [ghz_to_angular(f) for f in f_values], anharm)
-    errors = [
-        {"row": e["row"], "omega_c_ghz": f_values[e["row"]], "error": e["error"]}
-        for e in result.metadata["errors"]
-    ]
-    columns = [f_values] + [
-        [None if w is None else angular_to_ghz(w) * 1e6 for w in column]
-        for column in result.columns.values()
-    ]
     header = ["omega_c_ghz", "xi2_khz", "xi3_khz", "xi4_khz", "xi_pert_khz", "xi_exact_khz"]
-    return _emit(out_dir, "zz", header, columns, _metadata(device, args), errors)
+    units = dict.fromkeys(("xi2", "xi3", "xi4", "xi_pert", "xi_exact"), 1e6)
+    return _write_sweep(device, args, out_dir, header, [f_values], result, units)
 
 
 def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
@@ -218,30 +232,19 @@ def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) 
 
     amp_axis = parse_axis(args.amp)
     ncz_axis = parse_axis(args.ncz)
-    if args.idle is None:
-        idle = solve_dispersion(device, SquidState(flux=0.0), 1)[0].omega
-    else:
-        idle = ghz_to_angular(args.idle)
     result = leakage_sweep(
         device,
-        idle,
         [ghz_to_angular(a) for a in amp_axis.values()],
         list(ncz_axis.int_values()),
         channel=args.channel,
         duration=args.duration_ns,
     )
-    amps, counts = result.axes["amp_ghz"], result.axes["n_cz"]
-    # Row-major over (amplitude, count), as the result's columns are.
-    columns = [
-        [amp for amp in amps for _ in counts],
-        counts * len(amps),
-        result.columns["p_comp"],
-        result.columns["p_leak"],
-        [args.channel] * result.n_points,
-    ]
+    result = dataclasses.replace(
+        result, columns={**result.columns, "channel": (args.channel,) * result.n_points}
+    )
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
-    metadata = {**_metadata(device, args), **result.metadata}
-    return _emit(out_dir, "leakage", header, columns, metadata, [])
+    units = dict.fromkeys(("p_comp", "p_leak", "channel"))
+    return _write_sweep(device, args, out_dir, header, list(result.axes.values()), result, units)
 
 
 def _validate_checks(device: DeviceConfig) -> List[tuple]:
@@ -305,7 +308,7 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
         w1 = qubit_spectrum(device.qubit1).omega
         amps = [w1 + TWO_PI * d for d in (-0.4, 0.0, 0.4)]
         for channel in ("single", "double"):
-            sweep = leakage_sweep(device, w1, amps, [1, 3, 10], channel=channel)
+            sweep = leakage_sweep(device, amps, [1, 3, 10], channel=channel)
             dev = max(abs(c + l - 1.0) for c, l in zip(sweep.columns["p_comp"], sweep.columns["p_leak"]))
             if dev > 1e-12:
                 raise AssertionError(f"{channel} channel: p_comp + p_leak off 1 by {dev:.1e}")
@@ -403,13 +406,16 @@ def _write_manifest(args, out_dir: Path, outputs: List[str], duration: float) ->
         for key, value in vars(args).items()
         if key not in ("subcommand", "config", "out") and value is not None
     }
-    RunManifest(
-        config_path=str(args.config),
-        subcommand=args.subcommand,
-        flags=flags,
-        output_paths=tuple(outputs),
-        duration_s=duration,
-    ).write(out_dir)
+    write_json_atomic(
+        out_dir / f"{args.subcommand}.manifest.json",
+        {
+            "config_path": str(args.config),
+            "subcommand": args.subcommand,
+            "flags": flags,
+            "output_paths": outputs,
+            "duration_s": duration,
+        },
+    )
 
 
 if __name__ == "__main__":

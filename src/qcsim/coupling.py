@@ -82,23 +82,15 @@ def direct_coupling(device: DeviceConfig) -> float:
     return _direct(device, qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega)
 
 
-def coupler_coupling_scale(device: DeviceConfig, which: int) -> Tuple[float, float]:
-    """(C_jc/(2*sqrt(C_j*Cc)), w_j) for qubit `which` (1 or 2), so that
-    g_jc = scale * sqrt(w_j * wc); array callers take the square root
-    over a whole coupler axis."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    qubit = device.qubit1 if which == 1 else device.qubit2
-    return _scale(device, which), qubit_spectrum(qubit).omega
-
-
 def qubit_coupler_coupling(device: DeviceConfig, which: int, omega_c: float) -> float:
     """Qubit-coupler exchange coupling g_jc = C_jc/(2*sqrt(C_j*Cc)) *
     sqrt(w_j * wc) for qubit `which` (1 or 2), rad/ns."""
-    scale, w_j = coupler_coupling_scale(device, which)
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which}")
     if omega_c <= 0:
         raise ValueError(f"omega_c must be positive, got {omega_c}")
-    return scale * math.sqrt(w_j * omega_c)
+    qubit = device.qubit1 if which == 1 else device.qubit2
+    return _scale(device, which) * math.sqrt(qubit_spectrum(qubit).omega * omega_c)
 
 
 # CouplingReport's fields after omega_c, in order.

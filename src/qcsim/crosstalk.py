@@ -43,7 +43,7 @@ import numpy as np
 
 from .circuit import DeviceConfig, qubit_spectrum
 from .constants import DEFAULT_COUPLER_ANHARM, TWO_PI
-from .coupling import coupler_coupling_scale, direct_coupling, qubit_coupler_coupling
+from .coupling import _scale, direct_coupling, qubit_coupler_coupling
 from .errors import LabelingError, RegimeError
 from .sweeps import SweepResult
 
@@ -384,15 +384,14 @@ def _axis(device: DeviceConfig, omega_c: Sequence[float]) -> _Axis:
         if not 0.0 < value < math.inf:
             raise ValueError(f"omega_c must be positive and finite, got {value}")
     s1, s2 = qubit_spectrum(device.qubit1), qubit_spectrum(device.qubit2)
-    (scale1, w1), (scale2, w2) = coupler_coupling_scale(device, 1), coupler_coupling_scale(device, 2)
     return _Axis(
         s1.omega,
         s2.omega,
         s1.alpha,
         s2.alpha,
         direct_coupling(device),
-        g1c=scale1 * np.sqrt(w1 * omega_c),
-        g2c=scale2 * np.sqrt(w2 * omega_c),
+        g1c=_scale(device, 1) * np.sqrt(s1.omega * omega_c),
+        g2c=_scale(device, 2) * np.sqrt(s2.omega * omega_c),
         omega_c=omega_c,
     )
 

@@ -9,7 +9,9 @@ i.e. one evolution of the total hold time.
 `leakage_sweep` evaluates the resulting off-resonant Rabi populations
 over the whole amplitude x gate-count grid as numpy arrays;
 `propagator` and `evolve_two_level` stay as the per-point oracle that
-the tests check it against.
+the tests check it against.  The pulses follow one another with no
+time between them, so only the in-pulse coupler frequency enters the
+populations: the coupler frequency outside the pulses is not an input.
 
 single channel: one-excitation exchange between the first qubit and the
 coupler, energies (w1, wc), coupling g1c.  double channel: the doubly
@@ -86,7 +88,6 @@ def evolve_two_level(problem: TwoLevelProblem, t: float) -> Tuple[float, float]:
 
 def leakage_sweep(
     device: DeviceConfig,
-    idle_omega_c: float,
     amplitudes: Sequence[float],
     ncz_values: Sequence[int],
     channel: str = "single",
@@ -97,7 +98,8 @@ def leakage_sweep(
     Grid axes are the in-pulse coupler frequency (rad/ns in, GHz in the
     result) and the gate count; the initial state is the computational
     state of the selected channel.  Row-major: amplitude outer, count
-    inner.
+    inner.  The metadata records the channel and the pulse duration
+    (ns).
     """
     if channel not in ("single", "double"):
         raise ValueError(f"channel must be 'single' or 'double', got {channel!r}")
@@ -134,7 +136,6 @@ def leakage_sweep(
         },
         metadata={
             "channel": channel,
-            "idle_ghz": angular_to_ghz(idle_omega_c),
             "duration_ns": duration,
         },
     )

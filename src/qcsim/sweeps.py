@@ -264,31 +264,6 @@ def write_json_atomic(path: Path, document: dict) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What ran and where the outputs went."""
-
-    config_path: str
-    subcommand: str
-    flags: dict
-    output_paths: Tuple[str, ...]
-    duration_s: float
-
-    def write(self, out_dir: Path) -> Path:
-        path = Path(out_dir) / f"{self.subcommand}.manifest.json"
-        write_json_atomic(
-            path,
-            {
-                "config_path": self.config_path,
-                "subcommand": self.subcommand,
-                "flags": self.flags,
-                "output_paths": list(self.output_paths),
-                "duration_s": self.duration_s,
-            },
-        )
-        return path
-
-
 def device_hash(device_dict: dict) -> str:
     """Stable short hash of a serialized device config."""
     canonical = json.dumps(device_dict, sort_keys=True, separators=(",", ":"))

@@ -138,14 +138,14 @@ def test_criterion_7_dynamics_equivalence(device):
     closed_form_ok = worst <= 1e-9
 
     amps = [ghz_to_angular(f) for f in np.linspace(3.9, 4.3, 11)]
-    sweep = leakage_sweep(device, amps[0], amps, list(range(1, 11)), channel="single")
+    sweep = leakage_sweep(device, amps, list(range(1, 11)), channel="single")
     sums = np.array(sweep.columns["p_comp"]) + np.array(sweep.columns["p_leak"])
     conservation_ok = np.abs(sums - 1.0).max() <= 1e-9
 
     w1 = qubit_spectrum(device.qubit1).omega
     g = qubit_coupler_coupling(device, 1, w1)
     revival = leakage_sweep(
-        device, w1, [w1], [2, 4, 8], channel="single", duration=math.pi / (2 * g)
+        device, [w1], [2, 4, 8], channel="single", duration=math.pi / (2 * g)
     )
     revival_ok = all(abs(p - 1.0) <= 1e-9 for p in revival.columns["p_comp"])
 

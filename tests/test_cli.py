@@ -243,6 +243,31 @@ def test_per_point_errors_leave_axis_cells(config_path, tmp_path):
     ]["errors"][-1]["error"]
 
 
+def test_modes_error_rows_index_their_blank_csv_rows(config_path, tmp_path):
+    # A failed flux point takes one CSV row, so with two modes per point
+    # an error's "row" is not twice its flux index.
+    out = tmp_path / "out"
+    argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0.4:0.6:9", "--n-modes", "2"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in (out / "modes.csv").read_text().splitlines()[1:]]
+    errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
+    assert errors
+    for error in errors:
+        assert rows[error["row"]] == [format_float(error["flux"])] + [""] * 5
+    assert len(errors) == sum(row[1:] == [""] * 5 for row in rows)
+
+
+def test_leakage_has_no_idle_frequency(config_path, tmp_path):
+    out = tmp_path / "idle"
+    with pytest.raises(SystemExit) as exc:
+        main(["leakage", "--idle", "4.5", "--config", config_path, "--out", str(out)])
+    assert exc.value.code == 1
+    assert not out.exists()
+    out = tmp_path / "out"
+    assert main(["leakage", "--config", config_path, "--out", str(out)]) == 0
+    assert "idle_ghz" not in json.loads((out / "leakage.meta.json").read_text())["metadata"]
+
+
 def test_determinism_across_runs(config_path, tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -457,8 +482,7 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
     for argv in (
         ["leakage", "--duration-ns", "nan"],
         ["leakage", "--duration-ns", "inf"],
-        ["leakage", "--idle", "nan"],
-        ["leakage", "--idle=-inf"],
+        ["leakage", "--duration-ns=-inf"],
         ["zz", "--anharm-mhz", "nan"],
     ):
         capsys.readouterr()
@@ -474,7 +498,7 @@ def test_usage_errors_exit_1(config_path, tmp_path, capsys):
 def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path):
     # One parser serves every call in the process; a usage error or an
     # override in one call leaves nothing behind for the next.
-    calls = [["zz", "--c12", "0.03"], ["zz"], ["leakage", "--idle", "4.5"], ["leakage"]]
+    calls = [["zz", "--c12", "0.03"], ["zz"], ["leakage", "--duration-ns", "33.3"], ["leakage"]]
     with pytest.raises(SystemExit) as exc:
         main(["zz", "--c12", "oops", "--config", config_path, "--out", str(tmp_path / "bad")])
     assert exc.value.code == 1
@@ -493,7 +517,7 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
         assert manifests[0]["flags"] == manifests[1]["flags"]
         flags.append(manifests[0]["flags"])
     assert flags[0]["c12"] == 0.03 and "c12" not in flags[1]
-    assert flags[2]["idle"] == 4.5 and "idle" not in flags[3]
+    assert flags[2]["duration_ns"] == 33.3 and flags[3]["duration_ns"] == 40.0
     assert not {"c12", "omega_c", "anharm_mhz"} & set(flags[3])
     assert not (tmp_path / "bad").exists()
 

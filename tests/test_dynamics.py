@@ -121,7 +121,7 @@ def test_far_detuned_leakage_bound(device):
     w1 = qubit_spectrum(device.qubit1).omega
     g = qubit_coupler_coupling(device, 1, idle)
     assert abs(w1 - idle) >= 20 * g
-    result = leakage_sweep(device, idle, [idle], list(range(1, 13)), channel="single")
+    result = leakage_sweep(device, [idle], list(range(1, 13)), channel="single")
     bound = 4 * g**2 / (w1 - idle) ** 2
     assert bound <= 0.01
     assert all(p <= bound for p in result.columns["p_leak"])
@@ -131,15 +131,15 @@ def test_resonant_full_cycles_return(device):
     w1 = qubit_spectrum(device.qubit1).omega
     g = qubit_coupler_coupling(device, 1, w1)
     duration = math.pi / (2 * g)
-    result = leakage_sweep(device, w1, [w1], [2, 4, 6], channel="single", duration=duration)
+    result = leakage_sweep(device, [w1], [2, 4, 6], channel="single", duration=duration)
     assert all(p == pytest.approx(1.0, abs=1e-9) for p in result.columns["p_comp"])
-    odd = leakage_sweep(device, w1, [w1], [1, 3], channel="single", duration=duration)
+    odd = leakage_sweep(device, [w1], [1, 3], channel="single", duration=duration)
     assert all(p == pytest.approx(1.0, abs=1e-9) for p in odd.columns["p_leak"])
 
 
 def test_population_conservation_over_grid(device):
     amps = [ghz_to_angular(f) for f in np.linspace(3.9, 4.3, 9)]
-    result = leakage_sweep(device, amps[0], amps, list(range(1, 8)), channel="double")
+    result = leakage_sweep(device, amps, list(range(1, 8)), channel="double")
     total = np.array(result.columns["p_comp"]) + np.array(result.columns["p_leak"])
     assert np.abs(total - 1.0).max() <= 1e-9
     assert all(0.0 <= p <= 1.0 for p in result.columns["p_leak"])
@@ -154,7 +154,7 @@ def test_gate_count_periodicity_near_resonance(device):
     rabi = math.hypot(2 * g, w1 - amp)
     duration = 2 * math.pi / (rabi * 8)
     counts = list(range(1, 25))
-    result = leakage_sweep(device, amp, [amp], counts, channel="single", duration=duration)
+    result = leakage_sweep(device, [amp], counts, channel="single", duration=duration)
     leak = np.array(result.columns["p_leak"])
     predicted = (4 * g**2 / rabi**2) * np.sin(rabi * duration * np.array(counts) / 2) ** 2
     np.testing.assert_allclose(leak, predicted, atol=1e-12)
@@ -167,25 +167,25 @@ def test_channels_share_detuning_structure(device):
     # the one-excitation channel, so populations coincide.
     amps = [ghz_to_angular(4.05)]
     counts = [1, 2, 3]
-    single = leakage_sweep(device, amps[0], amps, counts, channel="single")
-    double = leakage_sweep(device, amps[0], amps, counts, channel="double")
+    single = leakage_sweep(device, amps, counts, channel="single")
+    double = leakage_sweep(device, amps, counts, channel="double")
     np.testing.assert_allclose(single.columns["p_leak"], double.columns["p_leak"], atol=1e-12)
 
 
 def test_sweep_argument_validation(device):
     with pytest.raises(ValueError):
-        leakage_sweep(device, 25.0, [], [1], channel="single")
+        leakage_sweep(device, [], [1], channel="single")
     with pytest.raises(ValueError, match="gate counts"):
-        leakage_sweep(device, 25.0, [25.0], [0], channel="single")
+        leakage_sweep(device, [25.0], [0], channel="single")
     with pytest.raises(ValueError, match="gate counts"):
-        leakage_sweep(device, 25.0, [25.0], [1, 0, 2], channel="single")
+        leakage_sweep(device, [25.0], [1, 0, 2], channel="single")
     with pytest.raises(ValueError):
-        leakage_sweep(device, 25.0, [25.0], [1], channel="both")
+        leakage_sweep(device, [25.0], [1], channel="both")
     # NaN passes a `duration <= 0` test, and the array evaluation would
     # turn it into NaN populations instead of raising.
     for duration in (0.0, -10.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="duration"):
-            leakage_sweep(device, 25.0, [25.0], [1], duration=duration)
+            leakage_sweep(device, [25.0], [1], duration=duration)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -198,14 +198,14 @@ def test_array_sweep_matches_pointwise_oracle(device, benchmark_like_device, poi
     grids = ([1, 2, 3, 5, 8, 13, 40, 100], [7], list(range(1, 21)))
     for counts in grids:
         for duration in (40.0, 17.3):
-            result = leakage_sweep(dev, amps[0], amps, counts, channel=channel, duration=duration)
+            result = leakage_sweep(dev, amps, counts, channel=channel, duration=duration)
             comp, leak = pointwise_leakage(dev, amps, counts, channel, duration)
             np.testing.assert_allclose(result.columns["p_comp"], comp, rtol=0, atol=1e-12)
             np.testing.assert_allclose(result.columns["p_leak"], leak, rtol=0, atol=1e-12)
             assert all(type(p) is float for p in result.columns["p_leak"])
     # On resonance the leak population is the full Rabi flop sin^2(g*t).
     g = qubit_coupler_coupling(dev, 1, w1)
-    result = leakage_sweep(dev, w1, [w1], [1, 3], channel=channel)
+    result = leakage_sweep(dev, [w1], [1, 3], channel=channel)
     np.testing.assert_allclose(
         result.columns["p_leak"], [math.sin(g * 40.0) ** 2, math.sin(g * 120.0) ** 2], rtol=0, atol=1e-12
     )
