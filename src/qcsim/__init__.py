@@ -16,13 +16,11 @@ from .circuit import (
     DeviceRatios,
     QubitParams,
     QubitSpectrum,
-    SquidDerived,
     SquidParams,
     SquidState,
     TransmissionLineParams,
     charging_energy,
     derive_ratios,
-    derive_squid,
     device_from_dict,
     device_to_dict,
     ej_for_frequency,

@@ -2,8 +2,9 @@
 
 Holds the parametric description of the two qubits, the transmission
 line, the SQUID termination, and the coupling capacitances, plus the
-closed-form conversions: effective SQUID Josephson energy and
-inductance, qubit spectrum, and the two dimensionless regime ratios.
+closed-form conversions: charging energy, qubit spectrum, and the two
+dimensionless regime ratios.  The SQUID's flux-dependent load on the
+line is `modes.flux_factor`.
 
 All stored energies/frequencies are angular (rad/ns); capacitances are
 fF, lengths mm, line constants nF/m and uH/m.  JSON configs use
@@ -16,7 +17,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
 
 from .constants import E_CHARGE, FLUX_QUANTUM, HBAR, TWO_PI, angular_to_ghz, ghz_to_angular
 from .errors import ConfigError, RegimeError, RegimeWarning
@@ -223,48 +223,6 @@ class DeviceConfig:
             )
         if ratios.r_c > R_C_MAX:
             raise RegimeError(f"r_C = {ratios.r_c:.4f} exceeds {R_C_MAX}: capacitive loading too strong")
-
-
-@dataclass(frozen=True)
-class SquidDerived:
-    """Flux-resolved SQUID quantities: effective Josephson energy e_js
-    (rad/ns), equilibrium phase offset phi0 (rad), inductance l_sq (nH)."""
-
-    e_js: float
-    phi0: float
-    l_sq: float
-
-
-def squid_terms(squid: SquidParams, flux: float, phi_s: float) -> Tuple[float, float, float]:
-    """e_js, phi0 and the tilt cos(phi_s - phi0) at a finite flux bias,
-    unchecked: `derive_squid` and `modes.mode_sweep` both take them from
-    here, so their bits agree."""
-    d = squid.asymmetry
-    theta = math.pi * flux
-    e_js = squid.total * math.sqrt(math.cos(theta) ** 2 + d**2 * math.sin(theta) ** 2)
-    phi0 = math.atan2(d * math.sin(theta), math.cos(theta))
-    return e_js, phi0, math.cos(phi_s - phi0)
-
-
-def derive_squid(squid: SquidParams, state: SquidState) -> SquidDerived:
-    """Effective Josephson energy, phase offset and inductance of the
-    SQUID at a given flux bias.
-
-    e_js = (ej1+ej2) * sqrt(cos^2(pi*flux) + d^2 sin^2(pi*flux)) and
-    phi0 = atan2(d*sin(pi*flux), cos(pi*flux)), continuous through
-    half-integer flux.  The inductance carries the cos(phi_s - phi0)
-    factor and diverges as that cosine reaches zero, which is treated
-    as leaving the model's validity regime.
-    """
-    e_js, phi0, tilt = squid_terms(squid, state.flux, state.phi_s)
-    if tilt <= 0.0:
-        raise RegimeError(
-            f"cos(phi_s - phi0) = {tilt:.3e} <= 0 at flux {state.flux}: "
-            "SQUID inductance diverges; outside model validity"
-        )
-    # L = (hbar/2e)^2 / (E_Js * cos(phi_s - phi0)), in nH.
-    l_sq = HBAR / (4.0 * E_CHARGE**2 * e_js * 1e9 * tilt) * 1e9
-    return SquidDerived(e_js=e_js, phi0=phi0, l_sq=l_sq)
 
 
 @dataclass(frozen=True)

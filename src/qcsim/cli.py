@@ -230,11 +230,11 @@ def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> Li
 def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
     from .dynamics import leakage_sweep
 
-    amp_axis = parse_axis(args.amp)
+    amp_values = parse_axis(args.amp).values()
     ncz_axis = parse_axis(args.ncz)
     result = leakage_sweep(
         device,
-        [ghz_to_angular(a) for a in amp_axis.values()],
+        [ghz_to_angular(a) for a in amp_values],
         list(ncz_axis.int_values()),
         channel=args.channel,
         duration=args.duration_ns,
@@ -244,7 +244,8 @@ def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) 
     )
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
     units = dict.fromkeys(("p_comp", "p_leak", "channel"))
-    return _write_sweep(device, args, out_dir, header, list(result.axes.values()), result, units)
+    axes = [amp_values, result.axes["n_cz"]]
+    return _write_sweep(device, args, out_dir, header, axes, result, units)
 
 
 def _validate_checks(device: DeviceConfig) -> List[tuple]:

@@ -82,13 +82,19 @@ def direct_coupling(device: DeviceConfig) -> float:
     return _direct(device, qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega)
 
 
+def _check_omega_c(omega_c: float) -> None:
+    """Reject a nonpositive or non-finite coupler frequency (NaN passes
+    a `<= 0` test)."""
+    if not 0.0 < omega_c < math.inf:
+        raise ValueError(f"omega_c must be positive and finite, got {omega_c}")
+
+
 def qubit_coupler_coupling(device: DeviceConfig, which: int, omega_c: float) -> float:
     """Qubit-coupler exchange coupling g_jc = C_jc/(2*sqrt(C_j*Cc)) *
     sqrt(w_j * wc) for qubit `which` (1 or 2), rad/ns."""
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
-    if omega_c <= 0:
-        raise ValueError(f"omega_c must be positive, got {omega_c}")
+    _check_omega_c(omega_c)
     qubit = device.qubit1 if which == 1 else device.qubit2
     return _scale(device, which) * math.sqrt(qubit_spectrum(qubit).omega * omega_c)
 
@@ -129,12 +135,11 @@ def effective_coupling(device: DeviceConfig, omega_c: float) -> CouplingReport:
     Errors on exact qubit-coupler resonance; warns when a dispersive
     guard |g_jc/D_j| exceeds 0.3.
     """
+    _check_omega_c(omega_c)
     w1 = qubit_spectrum(device.qubit1).omega
     w2 = qubit_spectrum(device.qubit2).omega
     if omega_c == w1 or omega_c == w2:
         raise RegimeError(_resonance_error(omega_c))
-    if omega_c <= 0:
-        raise ValueError(f"omega_c must be positive, got {omega_c}")
     report = CouplingReport(omega_c, *_report_fields(device, w1, w2, omega_c, math.sqrt))
     guard = max(report.guard1, report.guard2)
     if guard > DISPERSIVE_GUARD:
@@ -153,9 +158,9 @@ def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResul
 
     One column per CouplingReport field after omega_c.  A point exactly
     resonant with a qubit holds None and metadata["errors"] lists
-    {"row", "omega_c", "error"} for it.  A nonpositive frequency raises
-    ValueError before anything is computed; no RegimeWarning is issued,
-    the guards are columns.
+    {"row", "omega_c", "error"} for it.  A nonpositive or non-finite
+    frequency raises ValueError before anything is computed; no
+    RegimeWarning is issued, the guards are columns.
     """
     import numpy as np
 
@@ -164,8 +169,7 @@ def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResul
         raise ValueError("coupler-frequency axis must be nonempty")
     values = omega_c.tolist()
     for value in values:
-        if value <= 0:
-            raise ValueError(f"omega_c must be positive, got {value}")
+        _check_omega_c(value)
     w1 = qubit_spectrum(device.qubit1).omega
     w2 = qubit_spectrum(device.qubit2).omega
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -30,7 +30,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .circuit import DeviceConfig, qubit_spectrum
-from .constants import angular_to_ghz
 from .coupling import qubit_coupler_coupling
 from .sweeps import SweepResult
 
@@ -95,8 +94,8 @@ def leakage_sweep(
 ) -> SweepResult:
     """Final computational/leak populations after repeated square pulses.
 
-    Grid axes are the in-pulse coupler frequency (rad/ns in, GHz in the
-    result) and the gate count; the initial state is the computational
+    Grid axes are the in-pulse coupler frequency `amp` (rad/ns, as
+    given) and the gate count; the initial state is the computational
     state of the selected channel.  Row-major: amplitude outer, count
     inner.  The metadata records the channel and the pulse duration
     (ns).
@@ -127,7 +126,7 @@ def leakage_sweep(
     p_comp = np.cos(half) ** 2 + ((delta / rabi)[:, None] * s) ** 2
     return SweepResult(
         axes={
-            "amp_ghz": tuple(angular_to_ghz(a) for a in amplitudes),
+            "amp": tuple(amplitudes),
             "n_cz": tuple(float(n) for n in ncz_values),
         },
         columns={

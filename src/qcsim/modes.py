@@ -5,8 +5,15 @@ dispersion relation
 
     x*tan(x) + r_C*x^2 - B(flux)/r_L = 0,
 
-where B is the flux factor sqrt(cos^2(pi*flux) + d^2 sin^2(pi*flux)) *
-cos(phi_s - phi0).  Mode n is the unique root on the pole-free branch
+where B is the flux factor of the SQUID termination (junction asymmetry
+d, boundary phase phi_s),
+
+    B = cos(phi_s)*cos(pi*flux) + d*sin(phi_s)*sin(pi*flux)
+      = R*cos(pi*flux - psi),
+
+with R = hypot(cos(phi_s), d*sin(phi_s)) and psi = atan2(d*sin(phi_s),
+cos(phi_s)); at phi_s = 0 it is cos(pi*flux) whatever d is.  Mode n is
+the unique root on the pole-free branch
 ((n-1)*pi, (n-1)*pi + pi/2), which makes plain bisection unconditionally
 safe; Newton steps near the tan poles are not.
 
@@ -40,7 +47,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
-from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios, derive_squid, squid_terms
+from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios
 from .errors import ConfigError, RegimeError
 from .sweeps import SweepResult
 
@@ -70,13 +77,26 @@ class ModeSolution:
         return self.shifts[2] - self.shifts[1]
 
 
+def _rotation(d: float, phi_s: float) -> Tuple[float, float]:
+    """(R, psi) with cos(phi_s)*cos(theta) + d*sin(phi_s)*sin(theta) =
+    R*cos(theta - psi): the amplitude and phase of the flux factor."""
+    a = math.cos(phi_s)
+    c = d * math.sin(phi_s)
+    return math.hypot(a, c), math.atan2(c, a)
+
+
 def flux_factor(device: DeviceConfig, state: SquidState) -> float:
-    """Dimensionless termination strength B(flux) in the dispersion
-    relation.  Errors from the SQUID derivation (diverging inductance)
-    propagate."""
-    derived = derive_squid(device.squid, state)
-    relative = derived.e_js / device.squid.total
-    return relative * math.cos(state.phi_s - derived.phi0)
+    """Dimensionless termination strength B = R*cos(pi*flux - psi) in
+    the dispersion relation (Koch et al., PRA 76, 042319 (2007)).  B <= 0
+    means the SQUID inductance diverges, which is a RegimeError."""
+    r, psi = _rotation(device.squid.asymmetry, state.phi_s)
+    factor = r * math.cos(math.pi * state.flux - psi)
+    if factor <= 0.0:
+        raise RegimeError(
+            f"flux factor B = {factor:.3e} <= 0 at flux {state.flux}: "
+            "SQUID inductance diverges; outside model validity"
+        )
+    return factor
 
 
 def _residual(x: float, r_c: float, load: float) -> float:
@@ -248,16 +268,16 @@ def _bisect(a, b, r_c, load, slack):
 
 
 def _loads(device: DeviceConfig, ratios: DeviceRatios, flux: np.ndarray) -> np.ndarray:
-    """flux_factor / r_L at phi_s = 0 at every flux point, from
-    `squid_terms` as `derive_squid` takes them; NaN where
-    `derive_squid` raises (cos(phi_s - phi0) <= 0, non-finite flux)."""
+    """flux_factor / r_L at phi_s = 0 at every flux point, by
+    `flux_factor`'s arithmetic; NaN where it raises (B <= 0) and at a
+    non-finite flux."""
     import numpy as np
 
-    total = device.squid.total
+    r, psi = _rotation(device.squid.asymmetry, 0.0)
     loads = []
     for f in flux.tolist():
-        e_js, _, tilt = squid_terms(device.squid, f, 0.0) if math.isfinite(f) else (math.nan,) * 3
-        loads.append(e_js / total * tilt / ratios.r_l if tilt > 0.0 else math.nan)
+        factor = r * math.cos(math.pi * f - psi) if math.isfinite(f) else math.nan
+        loads.append(factor / ratios.r_l if factor > 0.0 else math.nan)
     return np.array(loads)
 
 
@@ -367,12 +387,10 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     at which mode 1 sits at `target_omega` (rad/ns).
 
     The target fixes kl and with it the termination strength the
-    dispersion relation needs, B = r_L*(kl*tan(kl) + r_C*kl^2).  The
-    flux factor is exactly B = cos(phi_s)*cos(pi*flux) +
-    d*sin(phi_s)*sin(pi*flux) = R*cos(pi*flux - psi), so on the
-    decreasing branch pi*flux = psi + arccos(B/R); at phi_s = 0 this is
-    arccos(B)/pi.  The solved mode must land within 1e-6 rad/ns of the
-    target.
+    dispersion relation needs, B = r_L*(kl*tan(kl) + r_C*kl^2).  Since
+    `flux_factor` is B = R*cos(pi*flux - psi), on the decreasing branch
+    pi*flux = psi + arccos(B/R); at phi_s = 0 this is arccos(B)/pi.
+    The solved mode must land within 1e-6 rad/ns of the target.
     """
 
     w_bottom, w_top = tuning_band(device, phi_s)
@@ -389,10 +407,8 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     ratios = derive_ratios(device)
     kl = target_omega / _rad_per_kl(device, ratios)
     factor = ratios.r_l * (kl * math.tan(kl) + ratios.r_c * kl * kl)
-    a = math.cos(phi_s)
-    c = device.squid.asymmetry * math.sin(phi_s)
-    r = math.hypot(a, c)
-    theta = math.atan2(c, a) + math.acos(min(1.0, max(-1.0, factor / r)))
+    r, psi = _rotation(device.squid.asymmetry, phi_s)
+    theta = psi + math.acos(min(1.0, max(-1.0, factor / r)))
     flux = min(max(theta / math.pi, 0.0), FLUX_MAX)
     omega = solve_dispersion(device, SquidState(flux=flux, phi_s=phi_s), 1)[0].omega
     if abs(omega - target_omega) > 1e-6:

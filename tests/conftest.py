@@ -1,4 +1,5 @@
 import importlib.resources
+import math
 import random
 import warnings
 
@@ -10,6 +11,7 @@ from qcsim import (
     CouplingCaps,
     DeviceConfig,
     QubitParams,
+    RegimeError,
     SquidParams,
     SquidState,
     TransmissionLineParams,
@@ -125,6 +127,28 @@ def bisect_flux_for_frequency():
     bisection of the solved mode-1 frequency over [0, FLUX_MAX], to
     1e-12 flux quanta.  Called as (device, target_omega[, phi_s])."""
     return _bisect_flux_for_frequency
+
+
+def _squid_chain_flux_factor(squid: SquidParams, flux: float, phi_s: float = 0.0) -> float:
+    d = squid.asymmetry
+    theta = math.pi * flux
+    e_js = squid.total * math.sqrt(math.cos(theta) ** 2 + d**2 * math.sin(theta) ** 2)
+    phi0 = math.atan2(d * math.sin(theta), math.cos(theta))
+    tilt = math.cos(phi_s - phi0)
+    if tilt <= 0.0:
+        raise RegimeError(f"cos(phi_s - phi0) = {tilt:.3e} <= 0: SQUID inductance diverges")
+    return e_js / squid.total * tilt
+
+
+@pytest.fixture(scope="session")
+def squid_chain_flux_factor():
+    """Reference for `flux_factor`: the SQUID's effective Josephson
+    energy e_js = E_sum*sqrt(cos^2(pi*flux) + d^2 sin^2(pi*flux)) and
+    equilibrium phase phi0 = atan2(d*sin(pi*flux), cos(pi*flux)), then
+    B = e_js/E_sum * cos(phi_s - phi0), raising RegimeError where that
+    cosine is <= 0 (diverging inductance).  Called as (squid, flux[,
+    phi_s])."""
+    return _squid_chain_flux_factor
 
 
 def _pointwise_leakage(device, amplitudes, ncz_values, channel, duration):

@@ -19,10 +19,10 @@ from qcsim import (
     TransmissionLineParams,
     charging_energy,
     derive_ratios,
-    derive_squid,
     device_from_dict,
     device_to_dict,
     ej_for_frequency,
+    flux_factor,
     qubit_spectrum,
 )
 from qcsim.constants import TWO_PI
@@ -31,96 +31,121 @@ SQUID = SquidParams(ej1=TWO_PI * 2097.812021, ej2=TWO_PI * 1716.391654, cs=77.92
 LINE = TransmissionLineParams(length=4.87, c0=0.16, l0=0.44)
 
 
-# --- SQUID closed forms --------------------------------------------------
+# --- SQUID flux factor ---------------------------------------------------
+
+
+def _squid(d):
+    """A SQUID of junction asymmetry d with the reference total, so that
+    a device built on it stays inside the regime bounds."""
+    half = 0.5 * SQUID.total
+    return SquidParams(ej1=half * (1 + d), ej2=half * (1 - d), cs=SQUID.cs)
+
+
+def _factor(d, flux, phi_s=0.0):
+    return flux_factor(_device(squid=_squid(d)), SquidState(flux=flux, phi_s=phi_s))
 
 
 def test_symmetric_squid_has_zero_phase_offset():
-    squid = SquidParams(ej1=100.0, ej2=100.0, cs=50.0)
+    # With no phase offset the boundary phase only scales the load.
     for flux in (0.0, 0.13, 0.25, 0.4, 0.499):
-        assert derive_squid(squid, SquidState(flux=flux)).phi0 == 0.0
+        for phi_s in (0.0, 0.1, -0.2):
+            assert _factor(0.0, flux, phi_s) == math.cos(phi_s) * math.cos(math.pi * flux)
+
+
+def test_asymmetry_cancels_at_zero_boundary_phase():
+    for d in (-0.6, 0.0, 0.05, 0.1, 0.3, 0.9):
+        for flux in (-0.3, 0.0, 0.11, 0.25, 0.37, 0.4873, 0.499):
+            assert _factor(d, flux) == math.cos(math.pi * flux)
 
 
 def test_zero_flux_gives_maximal_energy_and_zero_offset():
-    for d_target in (0.0, 0.1, 0.5):
-        ej1 = 100.0 * (1 + d_target)
-        ej2 = 100.0 * (1 - d_target) + 1e-9
-        squid = SquidParams(ej1=ej1, ej2=ej2, cs=50.0)
-        out = derive_squid(squid, SquidState(flux=0.0))
-        assert out.e_js == pytest.approx(squid.total, rel=1e-15)
-        assert out.phi0 == 0.0
+    for d in (0.0, 0.1, 0.5):
+        assert _factor(d, 0.0) == 1.0
+        for phi_s in (0.1, -0.25):
+            assert _factor(d, 0.0, phi_s) == pytest.approx(math.cos(phi_s), rel=0, abs=1e-15)
 
 
 def test_half_flux_asymmetric_squid():
-    # Evaluated two ways: the closed forms, and a numerically minimized
-    # two-junction potential (position of the minimum gives the phase
-    # offset, its curvature the effective Josephson energy).
-    squid = SquidParams(ej1=110.0, ej2=90.0, cs=50.0)  # d = 0.1
-    out = derive_squid(squid, SquidState(flux=0.5))
-    assert out.e_js == pytest.approx(0.1 * squid.total, rel=1e-12)
-    assert out.phi0 == pytest.approx(math.pi / 2, rel=1e-12)
+    # Evaluated two ways: the closed form, and a numerically minimized
+    # two-junction potential (in units of ej1 + ej2), whose curvature at
+    # the minimum phi_min is the effective Josephson energy and whose
+    # load on the line is curvature * cos(phi_s - phi_min).
+    d = 0.1
+    squid = _squid(d)
+    w1, w2 = squid.ej1 / squid.total, squid.ej2 / squid.total
+    # At half flux only the asymmetry is left: B = d*sin(phi_s).
+    assert _factor(d, 0.5, 0.2) == pytest.approx(d * math.sin(0.2), rel=1e-12)
 
-    for flux in (0.2, 0.35, 0.5):
+    for flux, phi_s in ((0.2, 0.0), (0.35, 0.1), (0.45, -0.1), (0.1, 0.25), (0.4, 0.2)):
         theta = math.pi * flux
 
         def potential(phi):
-            return -(squid.ej1 * math.cos(phi - theta) + squid.ej2 * math.cos(phi + theta))
+            return -(w1 * math.cos(phi - theta) + w2 * math.cos(phi + theta))
 
         res = minimize_scalar(
             potential, bounds=(-math.pi / 2, math.pi), method="bounded", options={"xatol": 1e-10}
         )
-        out = derive_squid(squid, SquidState(flux=flux))
-        assert res.x == pytest.approx(out.phi0, abs=1e-6)
         h = 1e-4
         curvature = (potential(res.x + h) - 2 * potential(res.x) + potential(res.x - h)) / h**2
-        assert curvature == pytest.approx(out.e_js, rel=1e-6)
+        expected = curvature * math.cos(phi_s - res.x)
+        assert expected > 0.1
+        assert _factor(d, flux, phi_s) == pytest.approx(expected, rel=0, abs=1e-6)
+
+
+def test_flux_factor_matches_squid_chain(squid_chain_flux_factor):
+    # The closed form against the effective-energy / phase-offset chain,
+    # with the same diverging-inductance decision wherever B is not
+    # within rounding of zero.
+    for d in (-0.6, -0.1, 0.0, 0.05, 0.1, 0.3, 0.9):
+        device = _device(squid=_squid(d))
+        for phi_s in (-0.29, -0.1, 0.0, 0.1, 0.25):
+            for flux in np.linspace(-1.2, 2.2, 69).tolist():
+                theta = math.pi * flux
+                b = math.cos(phi_s) * math.cos(theta) + d * math.sin(phi_s) * math.sin(theta)
+                try:
+                    expected = squid_chain_flux_factor(device.squid, flux, phi_s)
+                except RegimeError:
+                    expected = None
+                try:
+                    got = flux_factor(device, SquidState(flux=flux, phi_s=phi_s))
+                except RegimeError:
+                    got = None
+                if abs(b) <= 1e-15:
+                    continue
+                assert (got is None) == (b < 0.0) == (expected is None)
+                if got is not None:
+                    assert got == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 def test_phase_offset_parity_and_energy_evenness():
-    squid = SquidParams(ej1=120.0, ej2=80.0, cs=50.0)
     for flux in (0.05, 0.2, 0.45):
-        plus = derive_squid(squid, SquidState(flux=flux))
-        minus = derive_squid(squid, SquidState(flux=-flux))
-        assert minus.phi0 == pytest.approx(-plus.phi0, rel=1e-15)
-        assert minus.e_js == pytest.approx(plus.e_js, rel=1e-15)
+        assert _factor(0.2, -flux) == pytest.approx(_factor(0.2, flux), rel=1e-15)
+        for phi_s in (0.1, 0.25):
+            plus = _factor(0.2, flux, phi_s)
+            assert _factor(0.2, -flux, -phi_s) == pytest.approx(plus, rel=1e-15)
+            # Flipping the asymmetry is the same as flipping the flux.
+            assert _factor(-0.2, -flux, phi_s) == pytest.approx(plus, rel=1e-15)
 
 
 def test_energy_flux_periodicity_and_extremes():
-    squid = SquidParams(ej1=120.0, ej2=80.0, cs=50.0)
-    d = squid.asymmetry
-    for flux in (0.0, 0.11, 0.37):
-        a = derive_squid(squid, SquidState(flux=flux)).e_js
-        # +2 quanta goes through the full path; at +1 the equilibrium
-        # phase sits near pi (the inductance guard trips), so the energy
-        # periodicity is checked against the closed form there.
-        assert derive_squid(squid, SquidState(flux=flux + 2.0)).e_js == pytest.approx(a, rel=1e-12)
-        theta = math.pi * (flux + 1.0)
-        shifted = squid.total * math.sqrt(math.cos(theta) ** 2 + d**2 * math.sin(theta) ** 2)
-        assert shifted == pytest.approx(a, rel=1e-12)
-    top = derive_squid(squid, SquidState(flux=0.0)).e_js
-    bottom = derive_squid(squid, SquidState(flux=0.5)).e_js
-    assert top == pytest.approx(squid.total, rel=1e-15)
-    assert bottom == pytest.approx(abs(squid.asymmetry) * squid.total, rel=1e-12)
-    grid = [derive_squid(squid, SquidState(flux=f)).e_js for f in np.linspace(0, 0.5, 40)]
-    assert all(bottom - 1e-12 <= v <= top + 1e-12 for v in grid)
-
-
-def test_inductance_energy_reciprocity():
-    # L * (E_Js * cos(phi_s - phi0)) is the fixed constant (hbar/2e)^2,
-    # independent of flux: check via the product in mixed units.
-    from qcsim.constants import E_CHARGE, HBAR
-
-    squid = SquidParams(ej1=110.0, ej2=90.0, cs=50.0)
-    expected = HBAR / (4 * E_CHARGE**2) * 1e9 * 1e-9  # (nH * rad/ns) value
-    for flux, phi_s in ((0.0, 0.0), (0.3, 0.0), (0.45, 0.1)):
-        out = derive_squid(squid, SquidState(flux=flux, phi_s=phi_s))
-        tilt = math.cos(phi_s - out.phi0)
-        assert out.l_sq * out.e_js * tilt == pytest.approx(expected, rel=1e-12)
+    d = 0.2
+    for phi_s in (0.0, 0.15):
+        for flux in (0.0, 0.11, 0.37):
+            # +2 quanta returns to the same load; at +1 the equilibrium
+            # phase sits near pi and the inductance guard trips.
+            a = _factor(d, flux, phi_s)
+            assert _factor(d, flux + 2.0, phi_s) == pytest.approx(a, rel=0, abs=1e-14)
+            with pytest.raises(RegimeError, match="diverges"):
+                _factor(d, flux + 1.0, phi_s)
+    grid = [_factor(d, f) for f in np.linspace(0, 0.5, 40)]
+    assert grid[0] == 1.0 and max(grid) == 1.0
+    assert 0.0 < grid[-1] < 1e-15
+    assert all(b > a for a, b in zip(grid[1:], grid))
 
 
 def test_diverging_inductance_is_an_error():
-    squid = SquidParams(ej1=105.0, ej2=95.0, cs=50.0)  # d = 0.05
     with pytest.raises(RegimeError, match="diverges"):
-        derive_squid(squid, SquidState(flux=0.499, phi_s=-0.29))
+        _factor(0.05, 0.499, -0.29)
 
 
 def test_squid_invariants():

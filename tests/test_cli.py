@@ -573,10 +573,11 @@ def test_leakage_csv_matches_pointwise_oracle(config_path, tmp_path, pointwise_l
     out = tmp_path / "out"
     argv = ["leakage", "--amp", "3.9:4.3:201", "--ncz", "1:100:100", "--channel", channel]
     assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
-    amps = [ghz_to_angular(a) for a in parse_axis("3.9:4.3:201").values()]
+    amps_ghz = parse_axis("3.9:4.3:201").values()
     counts = list(range(1, 101))
+    amps = [ghz_to_angular(a) for a in amps_ghz]
     comp, leak = pointwise_leakage(load_device(config_path), amps, counts, channel, 40.0)
-    grid = [(angular_to_ghz(a), float(n)) for a in amps for n in counts]
+    grid = [(a, float(n)) for a in amps_ghz for n in counts]
     rows = [[a, n, c, p, channel] for (a, n), c, p in zip(grid, comp, leak)]
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
     assert (out / "leakage.csv").read_bytes() == _csv_text(header, rows)

@@ -97,8 +97,9 @@ def test_qubit_ratio_identity(device):
 def test_qubit_coupler_argument_validation(device):
     with pytest.raises(ValueError):
         qubit_coupler_coupling(device, 3, TWO_PI * 4.5)
-    with pytest.raises(ValueError):
-        qubit_coupler_coupling(device, 1, -1.0)
+    for omega_c in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega_c must be positive and finite"):
+            qubit_coupler_coupling(device, 1, omega_c)
 
 
 # --- net coupling --------------------------------------------------------
@@ -207,8 +208,14 @@ def test_coupling_sweep_equals_pointwise_reports(device, benchmark_like_device):
 
 
 def test_coupling_sweep_rejects_nonpositive_frequency(device):
-    with pytest.raises(ValueError, match="omega_c must be positive, got -1.0"):
+    with pytest.raises(ValueError, match="omega_c must be positive and finite, got -1.0"):
         coupling_sweep(device, [TWO_PI * 4.5, -1.0, 0.0])
+    # NaN passes a `<= 0` test and would come back as NaN couplings.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"omega_c must be positive and finite, got {bad}"):
+            coupling_sweep(device, [TWO_PI * 4.5, bad])
+        with pytest.raises(ValueError, match=f"omega_c must be positive and finite, got {bad}"):
+            effective_coupling(device, bad)
     with pytest.raises(ValueError, match="nonempty"):
         coupling_sweep(device, [])
 

@@ -181,6 +181,9 @@ def test_sweep_argument_validation(device):
         leakage_sweep(device, [25.0], [1, 0, 2], channel="single")
     with pytest.raises(ValueError):
         leakage_sweep(device, [25.0], [1], channel="both")
+    for amp in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega_c must be positive and finite"):
+            leakage_sweep(device, [amp], [1])
     # NaN passes a `duration <= 0` test, and the array evaluation would
     # turn it into NaN populations instead of raising.
     for duration in (0.0, -10.0, math.nan, math.inf):

@@ -242,6 +242,36 @@ def test_closed_form_inversion_matches_bisection(device, benchmark_like_device, 
         assert abs(solve_dispersion(dev, SquidState(flux=closed, phi_s=phi_s), 1)[0].omega - target) <= 1e-9
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    asymmetry=st.floats(-0.9, 0.9),
+    phi_s=st.floats(-0.25, 0.25),
+    frac=st.floats(1e-4, 1 - 1e-6),
+)
+def test_closed_form_inversion_matches_bisection_for_any_asymmetry(
+    device, bisect_flux_for_frequency, asymmetry, phi_s, frac
+):
+    # The reference device with its SQUID's asymmetry redrawn (same
+    # total, so the same r_L) and a target anywhere in its tuning band,
+    # short of the top, where the flux is ill-conditioned.  Where the
+    # asymmetry term turns B negative before FLUX_MAX there is no band.
+    total = device.squid.total
+    squid = SquidParams(ej1=total * (1 + asymmetry) / 2, ej2=total * (1 - asymmetry) / 2, cs=device.squid.cs)
+    dev = dataclasses.replace(device, squid=squid)
+    try:
+        bottom, top = tuning_band(dev, phi_s)
+    except RegimeError as exc:
+        assert "diverges" in str(exc)
+        top = solve_dispersion(dev, SquidState(flux=0.0, phi_s=phi_s), 1)[0].omega
+        with pytest.raises(RegimeError, match="diverges"):
+            flux_for_frequency(dev, top, phi_s)
+        return
+    target = top - frac * (top - bottom)
+    closed = flux_for_frequency(dev, target, phi_s)
+    assert abs(closed - bisect_flux_for_frequency(dev, target, phi_s)) <= 1e-10
+    assert abs(solve_dispersion(dev, SquidState(flux=closed, phi_s=phi_s), 1)[0].omega - target) <= 1e-9
+
+
 # --- array-valued sweep ----------------------------------------------------
 
 
