@@ -47,8 +47,6 @@ from .modes import (
     flux_for_frequency,
     fundamental_approx,
     kerr_coefficient,
-    level_shifts,
-    mode_nonlinearity,
     mode_sweep,
     solve_dispersion,
     tuning_band,

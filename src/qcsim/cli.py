@@ -4,13 +4,13 @@ Subcommands: modes, coupling, switchoff, zz, leakage, validate.  Every
 run reads a JSON device config (--config), writes deterministic data
 files under --out (default ./out) plus a JSON sidecar with metadata and
 per-point errors, and finishes by atomically writing a run manifest.
-Each sweep subcommand (modes, coupling, zz, leakage) is one array sweep
+Each sweep subcommand (modes, coupling, zz, leakage) is one sweep
 whose SweepResult `_write_sweep` writes as CSV and sidecar; a sweep
 point that fails blanks only its own row and is named in the sidecar
 as {"row", <first column>, "error"}.  `main` builds its parser once
-per process and reuses it.  The zz, leakage and validate runners
-import the array-only modules (and with them numpy) when they run, so
-`switchoff` never loads numpy.
+per process and reuses it.  The coupling, zz, leakage and validate
+runners import numpy when they run; `switchoff` never loads it, and
+`modes` only to write a table longer than 1,000 rows.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """

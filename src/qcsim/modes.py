@@ -13,38 +13,31 @@ d, boundary phase phi_s),
 
 with R = hypot(cos(phi_s), d*sin(phi_s)) and psi = atan2(d*sin(phi_s),
 cos(phi_s)); at phi_s = 0 it is cos(pi*flux) whatever d is.  Mode n is
-the unique root on the pole-free branch
-((n-1)*pi, (n-1)*pi + pi/2), which makes plain bisection unconditionally
-safe; Newton steps near the tan poles are not.
+the unique root on the branch ((n-1)*pi, (n-1)*pi + pi/2).  There the
+relation is tan(x) = (B/r_L - r_C*x^2)/x, so the root is also the zero
+of the pole-free form
 
-On top of the linear modes, the junction quartic term produces a
-photon-number-dependent level shift
+    F(x) = x - (n-1)*pi - atan((B/r_L - r_C*x^2)/x),    F'(x) >= 1,
 
-    shift_m = -(6m^2 + 6m + 3) * lambda * E_line,
-    lambda  = cos^2(x) / (4*(1 + 2x/sin(2x))),
+which `_solve_branch` finds by Newton steps kept inside a shrinking
+bracket.  `solve_dispersion`, `mode_sweep`, `tuning_band` and
+`flux_for_frequency` all go through that one root finder, so they give
+the same bits, and the module runs on `math` alone.
 
-whose two-photon anharmonicity shift_2 - shift_1 = -24*lambda*E_line is
-what downstream modules consume.
+On top of the linear modes, the junction quartic term gives the Kerr
+coefficient
 
-`mode_sweep` solves a whole flux axis at once: one lockstep numpy
-bisection over the (flux x branch) grid with `_solve_branch`'s brackets,
-midpoints and stopping rule, and the Kerr coefficients and level shifts
-as arrays.  numpy's tan only decides residual signs that no last-bit
-difference can flip (`math.tan` decides the rest), and every other sine,
-cosine and arctangent comes from `math`, so it returns the bits
-`solve_dispersion` returns on any host.  A flux point the arrays cannot
-solve goes to `solve_dispersion`, whose error that point then reports.
-`solve_dispersion` stays the one-point call (flux inversion, tuning
-band, switch-off); it runs on `math` alone, and numpy is imported only
-by `mode_sweep` and its helpers.
+    lambda = cos^2(x) / (4*(1 + 2x/sin(2x)))
+
+and the two-photon anharmonicity -24*lambda*E_line that downstream
+modules consume: the difference of the m = 2 and m = 1 level shifts
+-(6m^2 + 6m + 3)*lambda*E_line of the photon-number ladder.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .circuit import DeviceConfig, DeviceRatios, SquidState, derive_ratios
@@ -55,6 +48,11 @@ FLUX_MAX = 0.499  # stay clear of the half-quantum corner
 
 _HALF_PI = 0.5 * math.pi
 
+# Newton steps and bisections per root before `_solve_branch` gives up.
+# Roots take 3-4 steps on the reference device and at most a few dozen
+# anywhere in the model's regime.
+_MAX_STEPS = 100
+
 
 @dataclass(frozen=True)
 class ModeSolution:
@@ -62,19 +60,14 @@ class ModeSolution:
 
     index: mode number (1-based); kl: dimensionless wavenumber;
     omega: frequency (rad/ns); lam: dimensionless Kerr coefficient;
-    shifts: level shifts for photon numbers 0..m_max (rad/ns).
+    anharmonicity: two-photon anharmonicity (rad/ns).
     """
 
     index: int
     kl: float
     omega: float
     lam: float
-    shifts: Tuple[float, ...]
-
-    @property
-    def anharmonicity(self) -> float:
-        """Two-photon anharmonicity shifts[2] - shifts[1] (rad/ns)."""
-        return self.shifts[2] - self.shifts[1]
+    anharmonicity: float
 
 
 def _rotation(d: float, phi_s: float) -> Tuple[float, float]:
@@ -103,65 +96,45 @@ def _residual(x: float, r_c: float, load: float) -> float:
     return x * math.tan(x) + r_c * x * x - load
 
 
-@functools.cache
-def _bracket(n: int) -> Tuple[float, float, float, Tuple[float, ...]]:
-    """Branch n's edges lo and hi, the bisection's left end, and its
-    right-end candidates: the tan pole hi, then points walked in from it
-    by span*1e-15, 1e-14, ... while the step stays below half the span."""
+def _solve_branch(n: int, r_c: float, load: float) -> float:
+    """The root of the dispersion relation inside branch n.
+
+    Newton steps on the pole-free form F(x) = x - lo - atan(g(x)),
+    g(x) = (load - r_C*x^2)/x, from the branch's right edge.  F rises
+    with slope F' = 1 + (load/x^2 + r_C)/(1 + g^2) >= 1, so each
+    evaluation moves one end of the bracket (a, b) that holds the root;
+    a step that would leave it bisects instead.  A step of at most 2 ulp
+    ends the search, and is tested first: near the root the bracket can
+    be tighter than the rounding of F.  A root left of the branch (the
+    residual already positive at its left edge) means the termination
+    is too weak for this mode, which is a regime violation.
+    """
     lo = (n - 1) * math.pi
     hi = lo + _HALF_PI
-    span = _HALF_PI
-    candidates = [hi]
-    step = span * 1e-15
-    while step < span * 0.5:
-        candidates.append(hi - step)
-        step *= 10.0
-    return lo, hi, lo + span * 1e-12, tuple(candidates)
-
-
-def _solve_branch(n: int, r_c: float, load: float) -> float:
-    """Bisect the dispersion residual inside branch n.
-
-    The residual runs from -load (left edge) to +inf (tan pole at the
-    right edge); a missing sign change means the root has left the
-    branch, which is reported as a regime violation.  Bisection runs to
-    float resolution so solutions are reproducible to the last ulp.
-    """
-    lo, hi, a, candidates = _bracket(n)
-    fa = _residual(a, r_c, load)
-    # Walk in from the pole until the residual evaluates positive.
-    for b in candidates:
-        fb = _residual(b, r_c, load)
-        if fb > 0.0:
-            break
-    if fa > 0.0 or fb <= 0.0:
+    fa = _residual(lo + 1e-12 * _HALF_PI, r_c, load)
+    if fa > 0.0:
+        fb = _residual(hi, r_c, load)
         raise RegimeError(
             f"no dispersion root in branch {n} (kl in ({lo:.6f}, {hi:.6f})): "
             f"residual {fa:.3e} .. {fb:.3e}; termination too weak for this mode"
         )
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = _residual(mid, r_c, load)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
+    a, b, x = lo, hi, hi
+    for _ in range(_MAX_STEPS):
+        g = (load - r_c * x * x) / x
+        f = x - lo - math.atan(g)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            a = x
         else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _kerr(kl, cos_kl, sin_2kl):
-    """lambda from kl, cos(kl) and sin(2*kl), for floats or arrays; the
-    square is a product, so both give the same bits."""
-    return cos_kl * cos_kl / (4.0 * (1.0 + 2.0 * kl / sin_2kl))
-
-
-def _shift_factors(m_max: int) -> Tuple[int, ...]:
-    """-(6m^2 + 6m + 3) for m = 0..m_max."""
-    return tuple(-(6 * m * m + 6 * m + 3) for m in range(m_max + 1))
+            b = x
+        step = f / (1.0 + (load / (x * x) + r_c) / (1.0 + g * g))
+        if abs(step) <= 2.0 * math.ulp(x):
+            return x - step
+        x -= step
+        if not a < x < b:
+            x = 0.5 * (a + b)
+    raise RegimeError(f"dispersion root in branch {n} did not converge in {_MAX_STEPS} steps")
 
 
 def kerr_coefficient(kl: float) -> float:
@@ -169,22 +142,8 @@ def kerr_coefficient(kl: float) -> float:
     s = math.sin(2.0 * kl)
     if s == 0.0:
         raise RegimeError(f"sin(2*kl) vanishes at kl = {kl}; Kerr coefficient undefined")
-    return _kerr(kl, math.cos(kl), s)
-
-
-def level_shifts(kl: float, e_lcav: float, m_max: int) -> Tuple[float, ...]:
-    """Level shifts -(6m^2+6m+3)*lambda*E_line for m = 0..m_max, rad/ns."""
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
-    lam = kerr_coefficient(kl)
-    return tuple(factor * lam * e_lcav for factor in _shift_factors(m_max))
-
-
-def mode_nonlinearity(mode: ModeSolution, e_lcav: float, m_max: int = 4) -> ModeSolution:
-    """Return a copy of `mode` with Kerr coefficient and level shifts
-    computed for photon numbers 0..m_max."""
-    lam = kerr_coefficient(mode.kl)
-    return replace(mode, lam=lam, shifts=level_shifts(mode.kl, e_lcav, m_max))
+    c = math.cos(kl)
+    return c * c / (4.0 * (1.0 + 2.0 * kl / s))
 
 
 def _rad_per_kl(device: DeviceConfig, ratios: DeviceRatios) -> float:
@@ -192,103 +151,26 @@ def _rad_per_kl(device: DeviceConfig, ratios: DeviceRatios) -> float:
     return ratios.v / (device.line.length * 1e-3) * 1e-9
 
 
-def solve_dispersion(
-    device: DeviceConfig,
-    state: SquidState,
-    n_modes: int = 1,
-    m_max: int = 4,
-) -> List[ModeSolution]:
+def _mode(n: int, ratios: DeviceRatios, load: float, rad_per_kl: float) -> Tuple[float, float, float, float]:
+    """kl, omega (rad/ns), lambda and anharmonicity (rad/ns) of mode n."""
+    kl = _solve_branch(n, ratios.r_c, load)
+    lam = kerr_coefficient(kl)
+    # The m = 2 shift minus the m = 1 shift, -24*lambda*E_line up to
+    # rounding, in the ladder's order of operations.
+    e_line = ratios.e_lcav
+    return kl, kl * rad_per_kl, lam, (-39 * lam * e_line) - (-15 * lam * e_line)
+
+
+def solve_dispersion(device: DeviceConfig, state: SquidState, n_modes: int = 1) -> List[ModeSolution]:
     """Solve the dispersion relation for the lowest `n_modes` modes at
-    the given flux bias, including Kerr coefficients and level shifts.
+    the given flux bias, with their Kerr coefficients and anharmonicities.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     ratios = derive_ratios(device)
     load = flux_factor(device, state) / ratios.r_l
     rad_per_kl = _rad_per_kl(device, ratios)
-    out = []
-    for n in range(1, n_modes + 1):
-        kl = _solve_branch(n, ratios.r_c, load)
-        omega = kl * rad_per_kl
-        lam = kerr_coefficient(kl)
-        out.append(
-            ModeSolution(
-                index=n,
-                kl=kl,
-                omega=omega,
-                lam=lam,
-                shifts=level_shifts(kl, ratios.e_lcav, m_max),
-            )
-        )
-    return out
-
-
-# np.tan and math.tan differ in the last bit on about 0.5% of inputs,
-# which moves the residual x*tan(x) + r_C*x^2 - load by a few ulp of its
-# terms.  Where x*tan(x) > 2*(r_C*x^2 + load) the residual is far larger
-# than that, and elsewhere its terms stay below 3*(r_C*x^2 + load); so a
-# residual within this share of r_C*hi^2 + load (hi the branch's right
-# edge) is recomputed with math.tan, and every sign is the one
-# `_solve_branch` sees.
-_TAN_SLACK = 64.0 * sys.float_info.epsilon
-
-
-def _bisect(a, b, r_c, load, slack):
-    """`_solve_branch`'s bisection at every point of the arrays at once,
-    for brackets whose left residual is negative: the same midpoints,
-    sign tests and stopping rule, so the same roots.  `slack` bounds,
-    per point, the residuals recomputed with math.tan.  A point leaves
-    the lockstep once its bracket stops shrinking."""
-    import numpy as np
-
-    roots = np.empty_like(a)
-    if not a.size:
-        return roots
-    where = np.arange(a.size)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        done = (mid <= a) | (mid >= b)
-        if done.any():
-            roots[where[done]] = mid[done]
-            live = ~done
-            where, a, b, load, slack, mid = (v[live] for v in (where, a, b, load, slack, mid))
-            if not where.size:
-                return roots
-        # `_residual`, in its order of operations
-        fm = mid * np.tan(mid) + r_c * mid * mid - load
-        close = (np.abs(fm) <= slack).nonzero()[0]
-        if close.size:
-            fm[close] = [_residual(x, r_c, f) for x, f in zip(mid[close].tolist(), load[close].tolist())]
-        # The left residual stays negative, so a root (fm == 0) closes
-        # the bracket on itself.
-        np.copyto(a, mid, where=fm <= 0.0)
-        np.copyto(b, mid, where=fm >= 0.0)
-    roots[where] = 0.5 * (a + b)
-    return roots
-
-
-def _loads(device: DeviceConfig, ratios: DeviceRatios, flux: np.ndarray) -> np.ndarray:
-    """flux_factor / r_L at phi_s = 0 at every flux point, by
-    `flux_factor`'s arithmetic; NaN where it raises (B <= 0) and at a
-    non-finite flux."""
-    import numpy as np
-
-    r, psi = _rotation(device.squid.asymmetry, 0.0)
-    loads = []
-    for f in flux.tolist():
-        factor = r * math.cos(math.pi * f - psi) if math.isfinite(f) else math.nan
-        loads.append(factor / ratios.r_l if factor > 0.0 else math.nan)
-    return np.array(loads)
-
-
-def _trig(kl: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """cos(kl) and sin(2*kl) by `math`, as `kerr_coefficient` takes them:
-    numpy's may differ in the last bit, from host to host."""
-    import numpy as np
-
-    flat = kl.reshape(-1).tolist()
-    cos_kl = np.array([math.cos(x) for x in flat]).reshape(kl.shape)
-    return cos_kl, np.array([math.sin(2.0 * x) for x in flat]).reshape(kl.shape)
+    return [ModeSolution(n, *_mode(n, ratios, load, rad_per_kl)) for n in range(1, n_modes + 1)]
 
 
 def mode_sweep(device: DeviceConfig, flux: Sequence[float], n_modes: int = 1) -> SweepResult:
@@ -301,61 +183,25 @@ def mode_sweep(device: DeviceConfig, flux: Sequence[float], n_modes: int = 1) ->
     point, all of that point's n_modes rows hold None and
     metadata["errors"] lists {"flux_index", "flux", "error"}.
     """
-    import numpy as np
-
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    flux = np.array(flux, dtype=float).reshape(-1)
-    if not flux.size:
+    flux = [float(f) for f in flux]
+    if not flux:
         raise ValueError("flux axis must be nonempty")
     ratios = derive_ratios(device)
-    r_c = ratios.r_c
-    with np.errstate(all="ignore"):
-        load = _loads(device, ratios, flux)
-        kl = np.full((flux.size, n_modes), np.nan)
-        ok = np.empty(kl.shape, dtype=bool)
-        starts, ends, slack = np.empty_like(kl), np.empty_like(kl), np.empty_like(kl)
-        for n in range(1, n_modes + 1):
-            _, hi, a, candidates = _bracket(n)
-            starts[:, n - 1] = a
-            # `_residual` subtracts the load last, so these are its bits.
-            fa = _residual(a, r_c, 0.0) - load
-            # The walk in from the pole: the first candidate whose
-            # residual is positive.
-            terms = np.array([_residual(x, r_c, 0.0) for x in candidates])
-            positive = terms - load[:, None] > 0.0
-            ends[:, n - 1] = np.array(candidates)[positive.argmax(axis=1)]
-            # fa > 0 or no positive candidate: no root in the branch.  A
-            # point with fa == 0 (or a NaN load) goes to `solve_dispersion`.
-            ok[:, n - 1] = positive.any(axis=1) & (fa < 0.0)
-            slack[:, n - 1] = _TAN_SLACK * (r_c * hi * hi + np.abs(load))
-        loads = np.broadcast_to(load[:, None], kl.shape)
-        kl[ok] = _bisect(starts[ok], ends[ok], r_c, loads[ok], slack[ok])
-        cos_kl, sin_2kl = _trig(kl)
-        ok &= sin_2kl != 0.0
-        lam = _kerr(kl, cos_kl, sin_2kl)
-        shift1, shift2 = (factor * lam * ratios.e_lcav for factor in _shift_factors(2)[1:])
-    values = {
-        "kl": kl,
-        "omega": kl * _rad_per_kl(device, ratios),
-        "lam": lam,
-        "anharmonicity": shift2 - shift1,
-    }
-    columns = {name: v.reshape(-1).tolist() for name, v in values.items()}
-    errors = []
-    for i in np.flatnonzero(~ok.all(axis=1)).tolist():
-        rows = range(i * n_modes, (i + 1) * n_modes)
+    rad_per_kl = _rad_per_kl(device, ratios)
+    rows, errors = [], []
+    for i, f in enumerate(flux):
         try:
-            modes = solve_dispersion(device, SquidState(flux=flux[i].item()), n_modes)
+            load = flux_factor(device, SquidState(flux=f)) / ratios.r_l
+            rows += [_mode(n, ratios, load, rad_per_kl) for n in range(1, n_modes + 1)]
         except (ConfigError, RegimeError) as exc:
-            errors.append({"flux_index": i, "flux": flux[i].item(), "error": str(exc)})
-            modes = [None] * n_modes
-        for row, mode in zip(rows, modes):
-            for name in columns:
-                columns[name][row] = None if mode is None else getattr(mode, name)
+            errors.append({"flux_index": i, "flux": f, "error": str(exc)})
+            rows += [(None,) * 4] * n_modes
+    names = ("kl", "omega", "lam", "anharmonicity")
     return SweepResult(
-        axes={"flux": tuple(flux.tolist()), "mode": tuple(range(1, n_modes + 1))},
-        columns={name: tuple(column) for name, column in columns.items()},
+        axes={"flux": tuple(flux), "mode": tuple(range(1, n_modes + 1))},
+        columns=dict(zip(names, zip(*rows))),
         metadata={"errors": errors},
     )
 
@@ -390,7 +236,10 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     dispersion relation needs, B = r_L*(kl*tan(kl) + r_C*kl^2).  Since
     `flux_factor` is B = R*cos(pi*flux - psi), on the decreasing branch
     pi*flux = psi + arccos(B/R); at phi_s = 0 this is arccos(B)/pi.
-    The solved mode must land within 1e-6 rad/ns of the target.
+    A target within 1e-9 rad/ns of the band top, where arccos is
+    ill-conditioned, takes the band top's B = R*cos(psi) exactly: the
+    flux max(2*psi, 0)/pi where the decreasing branch is back at the
+    top.  The solved mode must land within 1e-6 rad/ns of the target.
     """
 
     w_bottom, w_top = tuning_band(device, phi_s)
@@ -399,16 +248,17 @@ def flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float =
     band = f"[{w_bottom:.6f}, {w_top:.6f}] rad/ns"
     if target_omega > w_top + 1e-9:
         raise RegimeError(f"target {target_omega:.6f} rad/ns above achievable band {band}")
-    if target_omega >= w_top - 1e-9:
-        return 0.0
     if target_omega < w_bottom:
         raise RegimeError(f"target {target_omega:.6f} rad/ns below achievable band {band}")
 
-    ratios = derive_ratios(device)
-    kl = target_omega / _rad_per_kl(device, ratios)
-    factor = ratios.r_l * (kl * math.tan(kl) + ratios.r_c * kl * kl)
     r, psi = _rotation(device.squid.asymmetry, phi_s)
-    theta = psi + math.acos(min(1.0, max(-1.0, factor / r)))
+    if target_omega >= w_top - 1e-9:
+        theta = psi + abs(psi)
+    else:
+        ratios = derive_ratios(device)
+        kl = target_omega / _rad_per_kl(device, ratios)
+        factor = ratios.r_l * (kl * math.tan(kl) + ratios.r_c * kl * kl)
+        theta = psi + math.acos(min(1.0, max(-1.0, factor / r)))
     flux = min(max(theta / math.pi, 0.0), FLUX_MAX)
     omega = solve_dispersion(device, SquidState(flux=flux, phi_s=phi_s), 1)[0].omega
     if abs(omega - target_omega) > 1e-6:

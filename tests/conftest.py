@@ -129,6 +129,57 @@ def bisect_flux_for_frequency():
     return _bisect_flux_for_frequency
 
 
+def _bisect_dispersion_root(n: int, r_c: float, load: float) -> float:
+    lo = (n - 1) * math.pi
+    span = 0.5 * math.pi
+    hi = lo + span
+    a = lo + span * 1e-12
+
+    def residual(x: float) -> float:
+        return x * math.tan(x) + r_c * x * x - load
+
+    fa = residual(a)
+    # Walk in from the pole until the residual evaluates positive.
+    candidates = [hi]
+    step = span * 1e-15
+    while step < span * 0.5:
+        candidates.append(hi - step)
+        step *= 10.0
+    for b in candidates:
+        fb = residual(b)
+        if fb > 0.0:
+            break
+    if fa > 0.0 or fb <= 0.0:
+        raise RegimeError(
+            f"no dispersion root in branch {n} (kl in ({lo:.6f}, {hi:.6f})): "
+            f"residual {fa:.3e} .. {fb:.3e}; termination too weak for this mode"
+        )
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        fm = residual(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+@pytest.fixture(scope="session")
+def bisect_dispersion_root():
+    """Reference for the root of mode n, x*tan(x) + r_C*x^2 = load:
+    bisection of that residual on ((n-1)*pi + 1e-12*pi/2, b) to float
+    resolution, where b is the first of the tan pole (n-1)*pi + pi/2 and
+    points walked in from it whose residual is positive.  Raises the
+    solver's "no dispersion root in branch n" RegimeError where the
+    residual is already positive at the left end.  Called as (n, r_c,
+    load)."""
+    return _bisect_dispersion_root
+
+
 def _squid_chain_flux_factor(squid: SquidParams, flux: float, phi_s: float = 0.0) -> float:
     d = squid.asymmetry
     theta = math.pi * flux

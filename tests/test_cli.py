@@ -522,28 +522,30 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
     assert not (tmp_path / "bad").exists()
 
 
-_SWITCHOFF_SCRIPT = """
+_NUMPY_FREE_SCRIPT = """
 import sys
 import qcsim, qcsim.cli
 from qcsim import load_device
 load_device(sys.argv[1])
-assert qcsim.cli.main(["switchoff", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+for subcommand in ("switchoff", "modes"):
+    assert qcsim.cli.main([subcommand, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
 
 
 def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
     # A fresh process, since this one has numpy loaded: importing the
-    # package and the CLI, loading a device and finding the switch-off
-    # point all run on `math` alone.
+    # package and the CLI, loading a device, finding the switch-off
+    # point and the default modes sweep all run on `math` alone.
     src = str(Path(qcsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-c", _SWITCHOFF_SCRIPT, config_path, str(tmp_path)],
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, config_path, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )  # fmt: skip
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "switchoff.json").read_text())["flux_off"] is not None
+    assert (tmp_path / "modes.csv").read_text().startswith("flux,mode,kl,freq_ghz,lambda,anharm_mhz\n")
 
 
 def test_lazy_package_names_resolve_uncached():
@@ -605,7 +607,7 @@ def test_sweep_csvs_match_per_cell_oracle(device, benchmark_like_device, tmp_pat
     rows = []
     for flux in parse_axis("0:0.6:13").values():
         try:
-            modes = solve_dispersion(dev, SquidState(flux=flux), 2, 4)
+            modes = solve_dispersion(dev, SquidState(flux=flux), 2)
         except point_errors:
             rows.append([flux] + [None] * 5)
             continue

@@ -34,7 +34,7 @@ def _with_caps(device, **overrides):
 
 
 def _fake_mode(omega: float) -> ModeSolution:
-    return ModeSolution(index=1, kl=1.5, omega=omega, lam=0.0, shifts=(0.0, 0.0, 0.0))
+    return ModeSolution(index=1, kl=1.5, omega=omega, lam=0.0, anharmonicity=0.0)
 
 
 # --- direct coupling -----------------------------------------------------

@@ -24,14 +24,12 @@ from qcsim import (
     flux_for_frequency,
     fundamental_approx,
     kerr_coefficient,
-    level_shifts,
-    mode_nonlinearity,
     mode_sweep,
     solve_dispersion,
     tuning_band,
 )
 from qcsim.constants import TWO_PI
-from qcsim.modes import _residual
+from qcsim.modes import _residual, _solve_branch
 
 
 def test_zero_flux_fundamental(device):
@@ -151,31 +149,15 @@ def test_analytic_estimate_collapse_at_half_flux(device):
 # --- Kerr ladder ---------------------------------------------------------
 
 
-def test_level_shift_algebra():
-    for lam_e in (0.3, 1.7):
-        shifts = level_shifts(1.2, lam_e / kerr_coefficient(1.2), 4)
-        assert shifts[0] == pytest.approx(-3 * lam_e, rel=1e-12)
-        assert shifts[2] - shifts[1] == pytest.approx(-24 * lam_e, rel=1e-12)
-        assert all(b < a for a, b in zip(shifts, shifts[1:]))
-
-
-def test_mode_nonlinearity_populates(device):
-    mode = solve_dispersion(device, SquidState(flux=0.0), 1, m_max=2)[0]
-    refreshed = mode_nonlinearity(mode, derive_ratios(device).e_lcav, m_max=6)
-    assert len(refreshed.shifts) == 7
-    assert refreshed.lam == pytest.approx(mode.lam, rel=1e-15)
-    assert refreshed.anharmonicity == pytest.approx(-24 * mode.lam * derive_ratios(device).e_lcav, rel=1e-12)
-    with pytest.raises(ValueError, match="m_max"):
-        mode_nonlinearity(mode, 1.0, m_max=1)
-
-
 def test_anharmonicity_grows_toward_half_flux(device):
     # The quartic coefficient rises steeply as the mode is tuned down;
     # the -50 MHz two-photon anharmonicity lands near 5.90 GHz (flux
     # ~0.315) for this device, far above where the mode reaches 4.5 GHz.
     values = []
+    e_line = derive_ratios(device).e_lcav
     for flux in (0.0, 0.2, 0.3, 0.4):
         mode = solve_dispersion(device, SquidState(flux=flux), 1)[0]
+        assert mode.anharmonicity == pytest.approx(-24 * mode.lam * e_line, rel=1e-12)
         values.append(angular_to_ghz(mode.anharmonicity) * 1e3)
     assert values[0] == pytest.approx(-8.617244, rel=1e-5)
     assert all(b < a for a, b in zip(values, values[1:]))
@@ -225,6 +207,18 @@ def test_inversion_out_of_range_names_band(device):
         flux_for_frequency(device, top * 1.01)
     with pytest.raises(RegimeError, match="below achievable band"):
         flux_for_frequency(device, bottom * 0.9)
+
+
+def test_inversion_is_continuous_at_band_top(device):
+    # Within 1e-9 rad/ns of the band top the inversion returns the flux
+    # where the decreasing branch is back at the top, 2*psi/pi, which at
+    # phi_s = 0.1 is not 0; the closed form just below gives nearly the
+    # same flux.
+    top = tuning_band(device, 0.1)[1]
+    snapped = flux_for_frequency(device, top - 5e-10, 0.1)
+    below = flux_for_frequency(device, top - 2e-9, 0.1)
+    assert snapped > 0.006
+    assert abs(snapped - below) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -298,7 +292,7 @@ def sweep_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sweep_cases())
 def test_mode_sweep_matches_pointwise_solver(device, case):
-    # The lockstep bisection against `solve_dispersion` at every point:
+    # The sweep against `solve_dispersion` at every point:
     # the same bits, and at a point the solver rejects, the same error
     # on blank rows.
     (r_l, r_c, asymmetry), flux, n_modes = case
@@ -326,6 +320,60 @@ def test_mode_sweep_matches_pointwise_solver(device, case):
             for name in ("kl", "omega", "lam", "anharmonicity"):
                 assert sweep.columns[name][row] == getattr(mode, name), (name, f, mode.index)
     assert sweep.metadata["errors"] == errors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_newton_roots_match_bisection_oracle(device, bisect_dispersion_root, case):
+    # The Newton solver against the bisection it replaced, on the sweep
+    # test's devices and flux grids: every root within 4 ulp, and where
+    # the bisection finds no root in a branch, the same error text.
+    (r_l, r_c, asymmetry), flux, n_modes = case
+    total = device.line.inductive_energy / r_l * (1.0 + 1e-9)
+    squid = SquidParams(
+        ej1=total * (1 + asymmetry) / 2,
+        ej2=total * (1 - asymmetry) / 2,
+        cs=r_c * device.line.total_capacitance * (1.0 - 1e-9),
+    )
+    dev = dataclasses.replace(device, squid=squid)
+    ratios = derive_ratios(dev)
+    for f in flux:
+        try:
+            roots = [mode.kl for mode in solve_dispersion(dev, SquidState(flux=f), n_modes)]
+        except (ConfigError, RegimeError) as exc:
+            roots = str(exc)
+        try:
+            load = flux_factor(dev, SquidState(flux=f)) / ratios.r_l
+            expected = [bisect_dispersion_root(n, ratios.r_c, load) for n in range(1, n_modes + 1)]
+        except (ConfigError, RegimeError) as exc:
+            assert roots == str(exc), f
+            continue
+        assert not isinstance(roots, str), (f, roots)
+        for n, (kl, oracle) in enumerate(zip(roots, expected), 1):
+            assert abs(kl - oracle) <= 4 * math.ulp(oracle), (f, n, kl, oracle)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    r_c=st.floats(0.0, 0.5),
+    log_load=st.floats(-8.0, 2.7),
+)
+def test_newton_root_matches_bisection_for_any_load(bisect_dispersion_root, n, r_c, log_load):
+    # The root finder alone, with load = B/r_L from 1e-8 to 500: down to
+    # the weak terminations just below half flux, where Newton steps
+    # from the branch's right edge overshoot and the bracket has to
+    # catch them.
+    load = 10.0**log_load
+    try:
+        oracle = bisect_dispersion_root(n, r_c, load)
+    except RegimeError as exc:
+        with pytest.raises(RegimeError) as raised:
+            _solve_branch(n, r_c, load)
+        assert str(raised.value) == str(exc)
+        return
+    kl = _solve_branch(n, r_c, load)
+    assert abs(kl - oracle) <= 4 * math.ulp(oracle), (kl, oracle)
 
 
 def test_mode_sweep_rejects_unusable_counts(device):
