@@ -17,6 +17,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .constants import E_CHARGE, FLUX_QUANTUM, HBAR, TWO_PI, angular_to_ghz, ghz_to_angular
 from .errors import ConfigError, RegimeError, RegimeWarning
@@ -153,6 +155,15 @@ class QubitParams:
         """Build from a target transition frequency (rad/ns) instead of EJ."""
         return cls(c_total=c_total, ej=ej_for_frequency(c_total, omega))
 
+    @cached_property
+    def _spectrum(self) -> QubitSpectrum:
+        # `qubit_spectrum`'s value, kept on the instance once computed.
+        e_c = charging_energy(self.c_total)
+        omega = math.sqrt(8.0 * e_c * self.ej) - e_c
+        if omega <= 0:
+            raise RegimeError(f"computed qubit frequency {omega} <= 0")
+        return QubitSpectrum(omega=omega, alpha=-e_c)
+
 
 @dataclass(frozen=True)
 class CouplingCaps:
@@ -224,6 +235,37 @@ class DeviceConfig:
         if ratios.r_c > R_C_MAX:
             raise RegimeError(f"r_C = {ratios.r_c:.4f} exceeds {R_C_MAX}: capacitive loading too strong")
 
+    @cached_property
+    def coupling_constants(self) -> CouplingConstants:
+        """The device's `CouplingConstants`, computed on first use and
+        kept on the instance; `dataclasses.replace` builds a new
+        instance, which starts without them."""
+        caps, c1, c2 = self.caps, self.qubit1.c_total, self.qubit2.c_total
+        w1, w2 = qubit_spectrum(self.qubit1).omega, qubit_spectrum(self.qubit2).omega
+        sqrt_w12 = math.sqrt(w1 * w2)
+        c_eff = caps.c12 + caps.c1c * caps.c2c / caps.cc
+        return CouplingConstants(
+            w1, w2, sqrt_w12,
+            g12=c_eff / (2.0 * math.sqrt(c1 * c2)) * sqrt_w12,
+            scale1=caps.c1c / (2.0 * math.sqrt(c1 * caps.cc)),
+            scale2=caps.c2c / (2.0 * math.sqrt(c2 * caps.cc)),
+            cap_ratio=caps.c1c * caps.c2c / (caps.cc * math.sqrt(c1 * c2)),
+        )  # fmt: skip
+
+
+class CouplingConstants(NamedTuple):
+    """The coupler-frequency-free factors of `qcsim.coupling`: bare qubit
+    frequencies w1, w2, sqrt(w1*w2) and the direct coupling g12 (rad/ns),
+    the scales C_jc/(2*sqrt(C_j*Cc)) and C1c*C2c/(Cc*sqrt(C1*C2))."""
+
+    w1: float
+    w2: float
+    sqrt_w12: float
+    g12: float
+    scale1: float
+    scale2: float
+    cap_ratio: float
+
 
 @dataclass(frozen=True)
 class QubitSpectrum:
@@ -234,12 +276,9 @@ class QubitSpectrum:
 
 
 def qubit_spectrum(qubit: QubitParams) -> QubitSpectrum:
-    """Transmon spectrum: omega = sqrt(8*E_C*E_J) - E_C, alpha = -E_C."""
-    e_c = charging_energy(qubit.c_total)
-    omega = math.sqrt(8.0 * e_c * qubit.ej) - e_c
-    if omega <= 0:
-        raise RegimeError(f"computed qubit frequency {omega} <= 0")
-    return QubitSpectrum(omega=omega, alpha=-e_c)
+    """Transmon spectrum: omega = sqrt(8*E_C*E_J) - E_C, alpha = -E_C,
+    computed once per `QubitParams` instance."""
+    return qubit._spectrum
 
 
 @dataclass(frozen=True)

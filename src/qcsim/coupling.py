@@ -16,18 +16,20 @@ keeps only the 1/D terms and sums over resonator modes.
 
 `effective_coupling` evaluates one coupler frequency and `coupling_sweep`
 a whole axis of them in numpy; both run one formula body, so they give
-the same bits.  The qubit spectra are computed once per call.  Only
-`coupling_sweep` imports numpy, so the switch-off search runs without it.
+the same bits.  The qubit spectra and every factor that does not depend
+on the coupler frequency are computed once per device
+(`DeviceConfig.coupling_constants`).  Only `coupling_sweep` imports
+numpy, so the switch-off search runs without it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .circuit import DeviceConfig, qubit_spectrum
+from .circuit import CouplingConstants, DeviceConfig
 from .errors import RegimeError, RegimeWarning
 from .modes import ModeSolution, flux_for_frequency, tuning_band
 from .sweeps import SweepResult
@@ -35,14 +37,14 @@ from .sweeps import SweepResult
 DISPERSIVE_GUARD = 0.3
 
 
-@dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(NamedTuple):
     """Couplings and dressed frequencies at one coupler frequency (all rad/ns).
 
     `direct` and `mediated` are the two terms of g_eff; `mediated_rwa`
     is the mediated term without the counter-rotating 1/(w_j + wc)
     contributions, i.e. the single-mode value of the rotating-wave
-    multimode sum.  `guard1`/`guard2` are |g_jc / D_j|.
+    multimode sum.  `guard1`/`guard2` are |g_jc / D_j|.  An immutable
+    named tuple: `_fields`, `_replace` and `_asdict` apply to it.
     """
 
     omega_c: float
@@ -63,23 +65,9 @@ class CouplingReport:
     guard2: float
 
 
-def _direct(device: DeviceConfig, w1: float, w2: float) -> float:
-    caps = device.caps
-    c_eff = caps.c12 + caps.c1c * caps.c2c / caps.cc
-    return c_eff / (2.0 * math.sqrt(device.qubit1.c_total * device.qubit2.c_total)) * math.sqrt(
-        w1 * w2
-    )
-
-
-def _scale(device: DeviceConfig, which: int) -> float:
-    qubit = device.qubit1 if which == 1 else device.qubit2
-    c_jc = device.caps.c1c if which == 1 else device.caps.c2c
-    return c_jc / (2.0 * math.sqrt(qubit.c_total * device.caps.cc))
-
-
 def direct_coupling(device: DeviceConfig) -> float:
     """Direct capacitive qubit-qubit coupling (rad/ns)."""
-    return _direct(device, qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega)
+    return device.coupling_constants.g12
 
 
 def _check_omega_c(omega_c: float) -> None:
@@ -95,28 +83,25 @@ def qubit_coupler_coupling(device: DeviceConfig, which: int, omega_c: float) -> 
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
     _check_omega_c(omega_c)
-    qubit = device.qubit1 if which == 1 else device.qubit2
-    return _scale(device, which) * math.sqrt(qubit_spectrum(qubit).omega * omega_c)
+    k = device.coupling_constants
+    scale, w = (k.scale1, k.w1) if which == 1 else (k.scale2, k.w2)
+    return scale * math.sqrt(w * omega_c)
 
 
 # CouplingReport's fields after omega_c, in order.
-_FIELDS = tuple(f.name for f in fields(CouplingReport))[1:]
+_FIELDS = CouplingReport._fields[1:]
 
 
-def _report_fields(device: DeviceConfig, w1: float, w2: float, omega_c, sqrt) -> tuple:
-    """The `_FIELDS` values at `omega_c` from the bare qubit frequencies,
+def _report_fields(k: CouplingConstants, omega_c, sqrt) -> tuple:
+    """The `_FIELDS` values at `omega_c` from the device's constants,
     for a float `omega_c` (sqrt = math.sqrt) or an array (np.sqrt).
     Squares are products, so both give the same bits."""
-    caps = device.caps
+    w1, w2, g12 = k.w1, k.w2, k.g12
     d1, d2 = w1 - omega_c, w2 - omega_c
     s1, s2 = w1 + omega_c, w2 + omega_c
-    g12 = _direct(device, w1, w2)
-    g1c = _scale(device, 1) * sqrt(w1 * omega_c)
-    g2c = _scale(device, 2) * sqrt(w2 * omega_c)
-    cap_ratio = caps.c1c * caps.c2c / (caps.cc * math.sqrt(device.qubit1.c_total * device.qubit2.c_total))
-    mediated = omega_c / 8.0 * (1.0 / d1 + 1.0 / d2 - 1.0 / s1 - 1.0 / s2) * cap_ratio * math.sqrt(
-        w1 * w2
-    )
+    g1c = k.scale1 * sqrt(w1 * omega_c)
+    g2c = k.scale2 * sqrt(w2 * omega_c)
+    mediated = omega_c / 8.0 * (1.0 / d1 + 1.0 / d2 - 1.0 / s1 - 1.0 / s2) * k.cap_ratio * k.sqrt_w12
     mediated_rwa = 0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2)
     dressed1 = w1 + g1c * g1c * (1.0 / d1 - 1.0 / s1)
     dressed2 = w2 + g2c * g2c * (1.0 / d2 - 1.0 / s2)
@@ -136,11 +121,10 @@ def effective_coupling(device: DeviceConfig, omega_c: float) -> CouplingReport:
     guard |g_jc/D_j| exceeds 0.3.
     """
     _check_omega_c(omega_c)
-    w1 = qubit_spectrum(device.qubit1).omega
-    w2 = qubit_spectrum(device.qubit2).omega
-    if omega_c == w1 or omega_c == w2:
+    k = device.coupling_constants
+    if omega_c == k.w1 or omega_c == k.w2:
         raise RegimeError(_resonance_error(omega_c))
-    report = CouplingReport(omega_c, *_report_fields(device, w1, w2, omega_c, math.sqrt))
+    report = CouplingReport(omega_c, *_report_fields(k, omega_c, math.sqrt))
     guard = max(report.guard1, report.guard2)
     if guard > DISPERSIVE_GUARD:
         warnings.warn(
@@ -170,11 +154,10 @@ def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResul
     values = omega_c.tolist()
     for value in values:
         _check_omega_c(value)
-    w1 = qubit_spectrum(device.qubit1).omega
-    w2 = qubit_spectrum(device.qubit2).omega
+    k = device.coupling_constants
     with np.errstate(divide="ignore", invalid="ignore"):
-        report = _report_fields(device, w1, w2, omega_c, np.sqrt)
-    resonant = [row for row, value in enumerate(values) if value == w1 or value == w2]
+        report = _report_fields(k, omega_c, np.sqrt)
+    resonant = [row for row, value in enumerate(values) if value == k.w1 or value == k.w2]
     columns = {}
     for name, column in zip(_FIELDS, report):
         column = np.broadcast_to(column, omega_c.shape).tolist()
@@ -215,20 +198,18 @@ def multimode_effective_coupling(
     higher-mode terms are small near the operating point but not
     negligible far from it.
     """
-    w1 = qubit_spectrum(device.qubit1).omega
-    w2 = qubit_spectrum(device.qubit2).omega
-    g12 = direct_coupling(device)
+    k = device.coupling_constants
     contributions = []
     for mode in modes:
-        d1 = w1 - mode.omega
-        d2 = w2 - mode.omega
+        d1 = k.w1 - mode.omega
+        d2 = k.w2 - mode.omega
         if d1 == 0.0 or d2 == 0.0:
             raise RegimeError(f"mode {mode.index} resonant with a qubit at {mode.omega} rad/ns")
         g1c = qubit_coupler_coupling(device, 1, mode.omega)
         g2c = qubit_coupler_coupling(device, 2, mode.omega)
         contributions.append(0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2))
     return MultimodeCoupling(
-        g_eff=g12 + sum(contributions), direct=g12, contributions=tuple(contributions)
+        g_eff=k.g12 + sum(contributions), direct=k.g12, contributions=tuple(contributions)
     )
 
 
@@ -274,9 +255,8 @@ def switch_off(device: DeviceConfig) -> SwitchOffResult:
     bisection to 1e-9 rad/ns.  Roots inside the achievable flux band are
     preferred, ties broken by the smaller dispersive guard.
     """
-    w1 = qubit_spectrum(device.qubit1).omega
-    w2 = qubit_spectrum(device.qubit2).omega
-    w_lo, w_hi = min(w1, w2), max(w1, w2)
+    k = device.coupling_constants
+    w_lo, w_hi = min(k.w1, k.w2), max(k.w1, k.w2)
     band = tuning_band(device)
 
     branches = [

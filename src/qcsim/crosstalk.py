@@ -43,7 +43,7 @@ import numpy as np
 
 from .circuit import DeviceConfig, qubit_spectrum
 from .constants import DEFAULT_COUPLER_ANHARM, TWO_PI
-from .coupling import _scale, direct_coupling, qubit_coupler_coupling
+from .coupling import direct_coupling, qubit_coupler_coupling
 from .errors import LabelingError, RegimeError
 from .sweeps import SweepResult
 
@@ -384,14 +384,15 @@ def _axis(device: DeviceConfig, omega_c: Sequence[float]) -> _Axis:
         if not 0.0 < value < math.inf:
             raise ValueError(f"omega_c must be positive and finite, got {value}")
     s1, s2 = qubit_spectrum(device.qubit1), qubit_spectrum(device.qubit2)
+    k = device.coupling_constants
     return _Axis(
         s1.omega,
         s2.omega,
         s1.alpha,
         s2.alpha,
-        direct_coupling(device),
-        g1c=_scale(device, 1) * np.sqrt(s1.omega * omega_c),
-        g2c=_scale(device, 2) * np.sqrt(s2.omega * omega_c),
+        k.g12,
+        g1c=k.scale1 * np.sqrt(k.w1 * omega_c),
+        g2c=k.scale2 * np.sqrt(k.w2 * omega_c),
         omega_c=omega_c,
     )
 

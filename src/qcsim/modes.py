@@ -113,10 +113,9 @@ def _solve_branch(n: int, r_c: float, load: float) -> float:
     hi = lo + _HALF_PI
     fa = _residual(lo + 1e-12 * _HALF_PI, r_c, load)
     if fa > 0.0:
-        fb = _residual(hi, r_c, load)
         raise RegimeError(
             f"no dispersion root in branch {n} (kl in ({lo:.6f}, {hi:.6f})): "
-            f"residual {fa:.3e} .. {fb:.3e}; termination too weak for this mode"
+            f"residual {fa:.3e} > 0 at the left edge; termination too weak for this mode"
         )
     a, b, x = lo, hi, hi
     for _ in range(_MAX_STEPS):

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -249,18 +248,18 @@ def write_sidecar(path: Path, header: Sequence[str], columns: Sequence[Sequence]
 
 
 def write_json_atomic(path: Path, document: dict) -> None:
-    """Write JSON via a temp file and rename, so readers never see a
-    partial document."""
+    """Write JSON via a sibling `.{name}.{pid}.tmp` file and rename, so
+    readers never see a partial document.  The file gets the same
+    umask mode as the CSVs."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with tmp.open("w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -4,6 +4,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import strategies as st
 
 from qcsim import (
     DEFAULT_COUPLER_ANHARM,
@@ -18,6 +19,7 @@ from qcsim import (
     TruncationSpec,
     TwoLevelProblem,
     build_hamiltonian,
+    charging_energy,
     coupler_shifts,
     device_from_dict,
     device_to_dict,
@@ -106,6 +108,62 @@ def benchmark_like_device():
     return _benchmark_like_device
 
 
+@st.composite
+def sweep_cases(draw):
+    """A device inside the model's regime (r_L <= 0.1, r_C <= 0.5), drawn
+    around the reference line, and a flux grid that runs from inside the
+    tuning range past the half flux quantum, where the upper branches
+    lose their roots and then the SQUID inductance diverges."""
+    r_l = draw(st.floats(0.002, 0.1))
+    r_c = draw(st.floats(0.0, 0.5, exclude_min=True))
+    asymmetry = draw(st.floats(-0.9, 0.9))
+    start = draw(st.floats(-0.3, 0.45))
+    stop = draw(st.floats(0.45, 1.3))
+    count = draw(st.integers(2, 25))
+    step = (stop - start) / (count - 1)
+    return (
+        (r_l, r_c, asymmetry),
+        [start + i * step for i in range(count)],
+        draw(st.integers(1, 5)),
+    )
+
+
+def _per_call_coupling(device: DeviceConfig, omega_c: float) -> tuple:
+    # Fresh spectra and capacitance factors at every call.
+    def omega(qubit: QubitParams) -> float:
+        e_c = charging_energy(qubit.c_total)
+        return math.sqrt(8.0 * e_c * qubit.ej) - e_c
+
+    def scale(qubit: QubitParams, c_jc: float) -> float:
+        return c_jc / (2.0 * math.sqrt(qubit.c_total * device.caps.cc))
+
+    caps, c1, c2 = device.caps, device.qubit1.c_total, device.qubit2.c_total
+    w1, w2 = omega(device.qubit1), omega(device.qubit2)
+    d1, d2 = w1 - omega_c, w2 - omega_c
+    s1, s2 = w1 + omega_c, w2 + omega_c
+    c_eff = caps.c12 + caps.c1c * caps.c2c / caps.cc
+    g12 = c_eff / (2.0 * math.sqrt(c1 * c2)) * math.sqrt(w1 * w2)
+    g1c = scale(device.qubit1, caps.c1c) * math.sqrt(w1 * omega_c)
+    g2c = scale(device.qubit2, caps.c2c) * math.sqrt(w2 * omega_c)
+    cap_ratio = caps.c1c * caps.c2c / (caps.cc * math.sqrt(c1 * c2))
+    mediated = omega_c / 8.0 * (1.0 / d1 + 1.0 / d2 - 1.0 / s1 - 1.0 / s2) * cap_ratio * math.sqrt(w1 * w2)
+    return (
+        omega_c, g12, g1c, g2c, g12 + mediated,
+        w1 + g1c * g1c * (1.0 / d1 - 1.0 / s1), w2 + g2c * g2c * (1.0 / d2 - 1.0 / s2),
+        d1, d2, s1, s2, g12, mediated, 0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2),
+        abs(g1c / d1), abs(g2c / d2),
+    )  # fmt: skip
+
+
+@pytest.fixture(scope="session")
+def per_call_coupling():
+    """Reference for `effective_coupling`: the CouplingReport field
+    values in order, from the qubit spectra, the direct coupling and the
+    capacitance factors recomputed at every call, as they were before
+    they were kept per device.  Called as (device, omega_c)."""
+    return _per_call_coupling
+
+
 def _bisect_flux_for_frequency(device: DeviceConfig, target_omega: float, phi_s: float = 0.0) -> float:
     lo, hi = 0.0, FLUX_MAX  # omega(lo) >= target >= omega(hi)
     for _ in range(64):
@@ -149,11 +207,13 @@ def _bisect_dispersion_root(n: int, r_c: float, load: float) -> float:
         fb = residual(b)
         if fb > 0.0:
             break
-    if fa > 0.0 or fb <= 0.0:
+    if fa > 0.0:
         raise RegimeError(
             f"no dispersion root in branch {n} (kl in ({lo:.6f}, {hi:.6f})): "
-            f"residual {fa:.3e} .. {fb:.3e}; termination too weak for this mode"
+            f"residual {fa:.3e} > 0 at the left edge; termination too weak for this mode"
         )
+    if fb <= 0.0:
+        raise RegimeError(f"no positive residual near the pole of branch {n}")
     for _ in range(200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:

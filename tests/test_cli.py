@@ -227,6 +227,11 @@ def test_sidecars_and_manifests(config_path, tmp_path):
     assert manifest["subcommand"] == "modes"
     assert str(out / "modes.csv") in manifest["output_paths"]
     assert manifest["duration_s"] >= 0.0
+    # The atomic JSON writes get the CSV's umask mode and leave no
+    # temporary file behind.
+    for name in ("modes.manifest.json", "modes.meta.json"):
+        assert (out / name).stat().st_mode == (out / "modes.csv").stat().st_mode, name
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_per_point_errors_leave_axis_cells(config_path, tmp_path):
@@ -524,12 +529,14 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
 
 _NUMPY_FREE_SCRIPT = """
 import sys
+sys.modules.pop("tempfile", None)  # a site .pth hook may have imported it
 import qcsim, qcsim.cli
 from qcsim import load_device
 load_device(sys.argv[1])
 for subcommand in ("switchoff", "modes"):
     assert qcsim.cli.main([subcommand, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "tempfile" not in sys.modules, "tempfile was imported"
 """
 
 

@@ -1,24 +1,31 @@
 """Coupling strengths, the two-term net coupling, and switch-off search."""
 
 import dataclasses
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcsim import (
     CouplingCaps,
     CouplingReport,
     DeviceConfig,
     ModeSolution,
+    QubitParams,
     RegimeError,
     RegimeWarning,
+    SquidParams,
     SquidState,
     angular_to_ghz,
     coupling_sweep,
+    device_from_dict,
     direct_coupling,
     effective_coupling,
+    ghz_to_angular,
     multimode_effective_coupling,
     qubit_coupler_coupling,
     qubit_spectrum,
@@ -26,6 +33,8 @@ from qcsim import (
     switch_off,
 )
 from qcsim.constants import TWO_PI
+
+from conftest import sweep_cases
 
 
 def _with_caps(device, **overrides):
@@ -218,6 +227,70 @@ def test_coupling_sweep_rejects_nonpositive_frequency(device):
             effective_coupling(device, bad)
     with pytest.raises(ValueError, match="nonempty"):
         coupling_sweep(device, [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=sweep_cases(), seed=st.integers(0, 40), f_ghz=st.floats(0.05, 15.0))
+def test_effective_coupling_matches_per_call_oracle(device, benchmark_like_device, per_call_coupling, case, seed, f_ghz):
+    # The device constants kept per device against the same arithmetic
+    # redone at every call: every field, bit for bit, on a benchmark-like
+    # device whose SQUID is drawn as in the mode sweep tests.
+    (r_l, r_c, asymmetry), _, _ = case
+    dev = benchmark_like_device(device, seed)
+    total = dev.line.inductive_energy / r_l * (1.0 + 1e-9)
+    squid = SquidParams(
+        ej1=total * (1 + asymmetry) / 2,
+        ej2=total * (1 - asymmetry) / 2,
+        cs=r_c * dev.line.total_capacitance * (1.0 - 1e-9),
+    )
+    dev = dataclasses.replace(dev, squid=squid)
+    omega_c = TWO_PI * f_ghz
+    assume(omega_c not in (qubit_spectrum(dev.qubit1).omega, qubit_spectrum(dev.qubit2).omega))
+    expected = per_call_coupling(dev, omega_c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        report = effective_coupling(dev, omega_c)
+    for name, value, oracle in zip(CouplingReport._fields, report, expected):
+        assert value == oracle, name
+    assert direct_coupling(dev) == expected[1]
+    assert (qubit_coupler_coupling(dev, 1, omega_c), qubit_coupler_coupling(dev, 2, omega_c)) == expected[2:4]
+
+
+def test_replaced_device_starts_with_its_own_constants(device, config_path):
+    # `dataclasses.replace` builds a new instance, so a device derived
+    # from one whose constants are already kept computes its own: the
+    # same values as a freshly loaded device with that change.
+    with open(config_path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    w = TWO_PI * 5.0
+    before = effective_coupling(device, w)
+    small = dataclasses.replace(device, caps=dataclasses.replace(device.caps, c12=0.03))
+    doc["caps"]["c12"] = 0.03
+    assert effective_coupling(small, w) == effective_coupling(device_from_dict(doc), w) != before
+    assert direct_coupling(small) == direct_coupling(device_from_dict(doc)) != direct_coupling(device)
+    lower = dataclasses.replace(device, qubit1=QubitParams.from_frequency(100.0, ghz_to_angular(3.95)))
+    doc["caps"]["c12"] = device.caps.c12
+    doc["qubit1"]["omega"] = 3.95
+    fresh = device_from_dict(doc)
+    assert effective_coupling(lower, w) == effective_coupling(fresh, w) != before
+    assert qubit_spectrum(lower.qubit1) == qubit_spectrum(fresh.qubit1) != qubit_spectrum(device.qubit1)
+    assert effective_coupling(device, w) == before
+    q = device.qubit1
+    assert qubit_spectrum(q) is qubit_spectrum(q)
+    assert device.coupling_constants is device.coupling_constants
+
+
+def test_coupling_report_is_an_immutable_named_tuple(device):
+    assert CouplingReport._fields == (
+        "omega_c", "g12", "g1c", "g2c", "g_eff", "dressed1", "dressed2", "delta1", "delta2",
+        "lambda1", "lambda2", "direct", "mediated", "mediated_rwa", "guard1", "guard2",
+    )  # fmt: skip
+    rep = effective_coupling(device, TWO_PI * 5.0)
+    with pytest.raises(AttributeError):
+        rep.g_eff = 0.0
+    assert hash(rep) == hash(effective_coupling(device, TWO_PI * 5.0))
+    assert rep._asdict()["g_eff"] == rep.g_eff == rep[4]
+    assert rep._replace(g_eff=0.0).g_eff == 0.0 != rep.g_eff
 
 
 # --- multimode -----------------------------------------------------------

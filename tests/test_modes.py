@@ -31,6 +31,8 @@ from qcsim import (
 from qcsim.constants import TWO_PI
 from qcsim.modes import _residual, _solve_branch
 
+from conftest import sweep_cases
+
 
 def test_zero_flux_fundamental(device):
     mode = solve_dispersion(device, SquidState(flux=0.0), 1)[0]
@@ -95,6 +97,22 @@ def test_missing_branch_root_is_regime_error(device):
     # branches; the affected mode must error, not silently relocate.
     with pytest.raises(RegimeError, match="branch"):
         solve_dispersion(device, SquidState(flux=0.495), 3)
+
+
+def test_branch_error_prints_the_left_edge_residual(device):
+    # Branch 7's float right edge lies past the tan pole (tan < 0 there),
+    # so only the positive left-edge residual that raised is printed.
+    ratios = derive_ratios(device)
+    load = flux_factor(device, SquidState(flux=0.25)) / ratios.r_l
+    left = _residual(6 * math.pi + 1e-12 * 0.5 * math.pi, ratios.r_c, load)
+    assert left > 0.0 > _residual(6.5 * math.pi, ratios.r_c, load)
+    with pytest.raises(RegimeError) as raised:
+        solve_dispersion(device, SquidState(flux=0.25), 8)
+    assert str(raised.value) == (
+        "no dispersion root in branch 7 (kl in (18.849556, 20.420352)): "
+        "residual 1.752e-01 > 0 at the left edge; termination too weak for this mode"
+    )
+    assert f"{left:.3e}" == "1.752e-01"
 
 
 def test_mode_ladder_strongly_non_equidistant(device):
@@ -267,26 +285,6 @@ def test_closed_form_inversion_matches_bisection_for_any_asymmetry(
 
 
 # --- array-valued sweep ----------------------------------------------------
-
-
-@st.composite
-def sweep_cases(draw):
-    """A device inside the model's regime (r_L <= 0.1, r_C <= 0.5), drawn
-    around the reference line, and a flux grid that runs from inside the
-    tuning range past the half flux quantum, where the upper branches
-    lose their roots and then the SQUID inductance diverges."""
-    r_l = draw(st.floats(0.002, 0.1))
-    r_c = draw(st.floats(0.0, 0.5, exclude_min=True))
-    asymmetry = draw(st.floats(-0.9, 0.9))
-    start = draw(st.floats(-0.3, 0.45))
-    stop = draw(st.floats(0.45, 1.3))
-    count = draw(st.integers(2, 25))
-    step = (stop - start) / (count - 1)
-    return (
-        (r_l, r_c, asymmetry),
-        [start + i * step for i in range(count)],
-        draw(st.integers(1, 5)),
-    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -6,11 +6,12 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsim import sweeps
-from qcsim.sweeps import format_cell
+from qcsim.sweeps import format_cell, write_json_atomic
 
 # The edges of format_float's fixed-point range and the values just
 # inside it, signed zeros and the non-finite values.
@@ -53,3 +54,16 @@ def test_csv_column_matches_format_cell(column):
 def test_json_column_matches_json_dumps(column):
     with mock.patch.object(sweeps, "_BLOCK_ROWS", 7):
         assert _joined(sweeps._json_blocks(column)) == [json.dumps(v) for v in column]
+
+
+def test_write_json_atomic_leaves_nothing_on_failure(tmp_path):
+    # A document that cannot be encoded leaves neither the target nor
+    # its temporary file; a good one replaces the target whole.
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_json_atomic(path, {"x": object()})
+    assert list(tmp_path.iterdir()) == []
+    write_json_atomic(path, {"x": 1})
+    write_json_atomic(path, {"y": [2]})
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    assert json.loads(path.read_text()) == {"y": [2]}
