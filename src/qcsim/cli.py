@@ -8,9 +8,9 @@ Each sweep subcommand (modes, coupling, zz, leakage) is one sweep
 whose SweepResult `_write_sweep` writes as CSV and sidecar; a sweep
 point that fails blanks only its own row and is named in the sidecar
 as {"row", <first column>, "error"}.  `main` builds its parser once
-per process and reuses it.  The coupling, zz, leakage and validate
-runners import numpy when they run; `switchoff` never loads it, and
-`modes` only to write a table longer than 1,000 rows.
+per process and reuses it.  The zz, leakage and validate runners
+import numpy when they run; `switchoff` never loads it, and `modes`
+and `coupling` only to write a table longer than 1,000 rows.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
@@ -37,6 +37,7 @@ from .errors import ConfigError, LabelingError, RegimeError
 from .modes import flux_for_frequency, fundamental_approx, mode_sweep, solve_dispersion
 from .sweeps import (
     SweepResult,
+    Tiled,
     device_hash,
     format_float,
     parse_axis,
@@ -122,35 +123,32 @@ def _write_sweep(
 ) -> List[str]:
     """Write a sweep's `<subcommand>.csv` and sidecar under `out_dir`.
 
-    The columns are the `axes` (output units, outermost first), each
-    repeated row-major over the grid, then the result columns named in
-    `units`: as they are where the unit is None, else
+    The columns are the `axes` (output units, outermost first), each a
+    `Tiled` column repeated row-major over the grid, then the result
+    columns named in `units`: as they are where the unit is None, else
     angular_to_ghz(value) * unit.  A failed outer point (a one-axis
-    sweep's "row", mode_sweep's "flux_index") takes a single CSV row:
-    its outer-axis value, blank inner axes and its first row's result
-    cells.  Each sidecar error is {"row": <CSV row>, header[0]: <outer-
-    axis value>, "error"}.  Without errors the columns go to the
-    writers as they are.
+    sweep's "row", mode_sweep's "flux_index", in ascending order) takes
+    a single CSV row: its outer-axis value, blank inner axes and its
+    first row's result cells.  Each sidecar error is {"row": <CSV row>,
+    header[0]: <outer-axis value>, "error"}.  Without errors the
+    columns go to the writers as they are.
     """
     errors = result.metadata.get("errors", [])
     failed = [e["flux_index"] if "flux_index" in e else e["row"] for e in errors]
     n = result.n_points
-    inner = n // len(axes[0])
-    columns = []
-    before, after = 1, n
+    columns, inner = [], n
     for values in axes:
-        after //= len(values)
-        columns.append([v for v in values for _ in range(after)] * before)
-        before *= len(values)
+        inner //= len(values)
+        columns.append(Tiled(values, inner, n))
+    inner = columns[0].inner  # rows per outer point
     for name, unit in units.items():
         column = result.columns[name]
         if unit is not None:
             column = [None if v is None else angular_to_ghz(v) * unit for v in column]
         columns.append(column)
-    rows = range(n)
     if failed:
         skip = set(failed)
-        rows = [r for r in rows if r % inner == 0 or r // inner not in skip]
+        rows = [r for r in range(n) if r % inner == 0 or r // inner not in skip]
         columns = [
             [None if 0 < k < len(axes) and r // inner in skip else column[r] for r in rows]
             for k, column in enumerate(columns)
@@ -158,9 +156,10 @@ def _write_sweep(
     metadata = {
         **_metadata(device, args),
         **result.metadata,
+        # Each failed point before the k-th dropped its inner - 1 other rows.
         "errors": [
-            {"row": rows.index(i * inner), header[0]: axes[0][i], "error": e["error"]}
-            for i, e in zip(failed, errors)
+            {"row": i * inner - k * (inner - 1), header[0]: axes[0][i], "error": e["error"]}
+            for k, (i, e) in enumerate(zip(failed, errors))
         ],
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,9 +238,8 @@ def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) 
         channel=args.channel,
         duration=args.duration_ns,
     )
-    result = dataclasses.replace(
-        result, columns={**result.columns, "channel": (args.channel,) * result.n_points}
-    )
+    n = result.n_points
+    result = dataclasses.replace(result, columns={**result.columns, "channel": Tiled([args.channel], n, n)})
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
     units = dict.fromkeys(("p_comp", "p_leak", "channel"))
     axes = [amp_values, result.axes["n_cz"]]

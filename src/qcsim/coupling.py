@@ -15,11 +15,10 @@ frequency, the switch-off point.  The rotating-wave multimode variant
 keeps only the 1/D terms and sums over resonator modes.
 
 `effective_coupling` evaluates one coupler frequency and `coupling_sweep`
-a whole axis of them in numpy; both run one formula body, so they give
-the same bits.  The qubit spectra and every factor that does not depend
-on the coupler frequency are computed once per device
-(`DeviceConfig.coupling_constants`).  Only `coupling_sweep` imports
-numpy, so the switch-off search runs without it.
+a whole axis of them, point by point; both run one formula body, so they
+give the same bits.  The qubit spectra and every factor that does not
+depend on the coupler frequency are computed once per device
+(`DeviceConfig.coupling_constants`).  The module runs on `math` alone.
 """
 
 from __future__ import annotations
@@ -92,15 +91,13 @@ def qubit_coupler_coupling(device: DeviceConfig, which: int, omega_c: float) -> 
 _FIELDS = CouplingReport._fields[1:]
 
 
-def _report_fields(k: CouplingConstants, omega_c, sqrt) -> tuple:
-    """The `_FIELDS` values at `omega_c` from the device's constants,
-    for a float `omega_c` (sqrt = math.sqrt) or an array (np.sqrt).
-    Squares are products, so both give the same bits."""
+def _report_fields(k: CouplingConstants, omega_c: float) -> tuple:
+    """The `_FIELDS` values at `omega_c` from the device's constants."""
     w1, w2, g12 = k.w1, k.w2, k.g12
     d1, d2 = w1 - omega_c, w2 - omega_c
     s1, s2 = w1 + omega_c, w2 + omega_c
-    g1c = k.scale1 * sqrt(w1 * omega_c)
-    g2c = k.scale2 * sqrt(w2 * omega_c)
+    g1c = k.scale1 * math.sqrt(w1 * omega_c)
+    g2c = k.scale2 * math.sqrt(w2 * omega_c)
     mediated = omega_c / 8.0 * (1.0 / d1 + 1.0 / d2 - 1.0 / s1 - 1.0 / s2) * k.cap_ratio * k.sqrt_w12
     mediated_rwa = 0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2)
     dressed1 = w1 + g1c * g1c * (1.0 / d1 - 1.0 / s1)
@@ -124,7 +121,7 @@ def effective_coupling(device: DeviceConfig, omega_c: float) -> CouplingReport:
     k = device.coupling_constants
     if omega_c == k.w1 or omega_c == k.w2:
         raise RegimeError(_resonance_error(omega_c))
-    report = CouplingReport(omega_c, *_report_fields(k, omega_c, math.sqrt))
+    report = CouplingReport(omega_c, *_report_fields(k, omega_c))
     guard = max(report.guard1, report.guard2)
     if guard > DISPERSIVE_GUARD:
         warnings.warn(
@@ -138,7 +135,7 @@ def effective_coupling(device: DeviceConfig, omega_c: float) -> CouplingReport:
 
 def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResult:
     """`effective_coupling` over a coupler-frequency axis `omega_c`
-    (rad/ns), all points at once and with the same bits.
+    (rad/ns), with the same bits.
 
     One column per CouplingReport field after omega_c.  A point exactly
     resonant with a qubit holds None and metadata["errors"] lists
@@ -146,33 +143,23 @@ def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResul
     frequency raises ValueError before anything is computed; no
     RegimeWarning is issued, the guards are columns.
     """
-    import numpy as np
-
-    omega_c = np.array(omega_c, dtype=float).reshape(-1)
-    if not omega_c.size:
+    values = [float(w) for w in omega_c]
+    if not values:
         raise ValueError("coupler-frequency axis must be nonempty")
-    values = omega_c.tolist()
     for value in values:
         _check_omega_c(value)
     k = device.coupling_constants
-    with np.errstate(divide="ignore", invalid="ignore"):
-        report = _report_fields(k, omega_c, np.sqrt)
-    resonant = [row for row, value in enumerate(values) if value == k.w1 or value == k.w2]
-    columns = {}
-    for name, column in zip(_FIELDS, report):
-        column = np.broadcast_to(column, omega_c.shape).tolist()
-        for row in resonant:
-            column[row] = None
-        columns[name] = tuple(column)
+    rows, errors = [], []
+    for row, value in enumerate(values):
+        if value == k.w1 or value == k.w2:
+            rows.append((None,) * len(_FIELDS))
+            errors.append({"row": row, "omega_c": value, "error": _resonance_error(value)})
+        else:
+            rows.append(_report_fields(k, value))
     return SweepResult(
         axes={"omega_c": tuple(values)},
-        columns=columns,
-        metadata={
-            "errors": [
-                {"row": row, "omega_c": values[row], "error": _resonance_error(values[row])}
-                for row in resonant
-            ]
-        },
+        columns=dict(zip(_FIELDS, zip(*rows))),
+        metadata={"errors": errors},
     )
 
 

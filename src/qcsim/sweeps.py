@@ -7,13 +7,16 @@ timestamp, per-point errors) lives in a JSON sidecar next to each CSV,
 and a manifest is written atomically after every run.
 
 The CSV and sidecar writers take a table as a header plus one sequence
-per column.  They format a column at a time, with the same result as
-`format_cell` (CSV) and `json.dumps` (sidecar) per cell: a float column
-longer than one block in one array pass over its distinct values, a
-str column longer than one block once per distinct string, any other
-column cell by cell.  Rows are joined and written a block at a
-time.  numpy is imported only for the array passes, so writing a short
-table or a JSON document does not load it.
+per column, and write the bytes that `format_cell` (CSV) and
+`json.dumps` (sidecar) give cell by cell.  A `Tiled` column, such as a
+grid axis or a constant label, has each of its values formatted once and
+those texts repeated down it.  Any other column is formatted in one pass
+per block of rows: by the C JSON encoder for the sidecar, and for the
+CSV of a table longer than one block, a block of floats by one `.9g`
+pass that numpy corrects where format_float prints otherwise.  Rows are
+joined and written a block at a time.  numpy is imported only for that
+array pass, so writing a table of one block or less, or a JSON
+document, does not load it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import hashlib
 import json
 import math
 import os
+from collections import abc
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
@@ -33,7 +38,7 @@ class SweepResult:
     row-major order over the axes."""
 
     axes: Dict[str, Tuple[float, ...]]
-    columns: Dict[str, tuple]
+    columns: Dict[str, Sequence]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -52,6 +57,32 @@ class SweepResult:
         for values in self.axes.values():
             out *= len(values)
         return out
+
+
+class Tiled(abc.Sequence):
+    """A column of `length` cells that repeats a few values in grid
+    order: cell i is values[(i // inner) % len(values)].  An axis of a
+    row-major grid repeats each value `inner` times, the product of the
+    lengths of the axes inside it; a constant column is one value
+    repeated `length` times.  The writers format each value once."""
+
+    __slots__ = ("values", "inner", "length")
+
+    def __init__(self, values: Sequence, inner: int, length: int) -> None:
+        self.values, self.inner, self.length = tuple(values), inner, length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i: int):
+        i = range(self.length)[i]
+        return self.values[i // self.inner % len(self.values)]
+
+    def __iter__(self) -> Iterator:
+        # One period of the column, then that period over and over: C
+        # iterators throughout, and no per-cell object where inner is 1.
+        period = tuple(chain.from_iterable(map(repeat, self.values, repeat(self.inner))))
+        return islice(chain.from_iterable(repeat(period, self.length)), self.length)
 
 
 @dataclass(frozen=True)
@@ -144,54 +175,37 @@ def _json_texts(values: list) -> List[str]:
 _BLOCK_ROWS = 1000
 
 
-def _text_blocks(
-    column: Sequence,
-    float_texts: Callable[[List[float]], List[str]],
-    cell_texts: Callable[[list], List[str]],
-) -> Iterator[List[str]]:
+def _text_blocks(column: Sequence, texts: Callable[[list], List[str]]) -> Iterator[List[str]]:
     """The text of each cell of a column, _BLOCK_ROWS cells at a time.
 
-    A column of floats longer than one block goes through `float_texts`,
-    once per distinct bit pattern where values repeat: an axis value
-    repeated down the column is formatted once, while 0.0 and -0.0 stay
-    apart.  A column of str longer than one block, such as a constant
-    label column, goes through `cell_texts` once per distinct string.
-    The distinct values must all be of type str exactly: 1, 1.0 and
-    True compare equal but print apart, while a str compares equal only
-    to a str.  Any other column goes through `cell_texts` cell by cell;
-    for a block or less, numpy's fixed cost per call outweighs the
-    saving.
+    A `Tiled` column has `texts` run once, on its values, and those
+    texts tiled down the column; any other column has `texts` run once
+    per block on the block's cells.
     """
-    size = _BLOCK_ROWS
-    if len(column) > size and type(column[0]) is str:
-        distinct = list(dict.fromkeys(column))
-        if all(type(value) is str for value in distinct):
-            text = dict(zip(distinct, cell_texts(distinct))).__getitem__
-            for start in range(0, len(column), size):
-                yield list(map(text, column[start : start + size]))
-            return
-    elif len(column) > size and set(map(type, column)) == {float}:
-        import numpy as np
-
-        bits, index = np.unique(np.array(column).view(np.uint64), return_inverse=True)
-        if len(bits) < len(column):
-            texts = np.array(float_texts(bits.view(np.float64).tolist()), dtype=object)
-            for start in range(0, len(column), size):
-                yield texts[index[start : start + size]].tolist()
-            return
-        cell_texts = float_texts  # all distinct: the array pass, block by block
-    for start in range(0, len(column), size):
-        yield cell_texts(list(column[start : start + size]))
+    starts = range(0, len(column), _BLOCK_ROWS)
+    if isinstance(column, Tiled):
+        cells = iter(Tiled(texts(list(column.values)), column.inner, len(column)))
+        return (list(islice(cells, _BLOCK_ROWS)) for _ in starts)
+    return (texts(list(column[start : start + _BLOCK_ROWS])) for start in starts)
 
 
 def _csv_blocks(column: Sequence) -> Iterator[List[str]]:
-    """format_cell of each cell of a column, in blocks."""
-    return _text_blocks(column, _float_csv_texts, lambda cells: list(map(format_cell, cells)))
+    """format_cell of each cell of a column, in blocks.  In a table
+    longer than one block, cells that are all of type float go through
+    one array pass; a shorter table leaves numpy unloaded."""
+    long = len(column) > _BLOCK_ROWS
+
+    def texts(cells: list) -> List[str]:
+        if long and set(map(type, cells)) == {float}:
+            return _float_csv_texts(cells)
+        return list(map(format_cell, cells))
+
+    return _text_blocks(column, texts)
 
 
 def _json_blocks(column: Sequence) -> Iterator[List[str]]:
     """json.dumps of each scalar cell of a column, in blocks."""
-    return _text_blocks(column, _json_texts, _json_texts)
+    return _text_blocks(column, _json_texts)
 
 
 def _row_count(header: Sequence[str], columns: Sequence[Sequence]) -> int:

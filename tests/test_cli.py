@@ -262,6 +262,28 @@ def test_modes_error_rows_index_their_blank_csv_rows(config_path, tmp_path):
     assert len(errors) == sum(row[1:] == [""] * 5 for row in rows)
 
 
+def test_error_rows_of_a_grid_longer_than_one_block(config_path, tmp_path):
+    # About half of 801 flux points fail past the branch's end, over
+    # more than one write block: each error's "row" is the recount of
+    # the CSV rows written before it, one per failed point and two per
+    # solved one.
+    out = tmp_path / "out"
+    argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0:1:801", "--n-modes", "2"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in (out / "modes.csv").read_text().splitlines()[1:]]
+    errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
+    assert len(rows) > 1000 and len(errors) > 100
+    failed = {e["flux"] for e in errors}
+    expected, row = [], 0
+    for flux in parse_axis("0:1:801").values():
+        if flux in failed:
+            expected.append(row)
+        row += 1 if flux in failed else 2
+    assert [e["row"] for e in errors] == expected
+    assert row == len(rows)
+    assert [j for j, cells in enumerate(rows) if cells[1:] == [""] * 5] == expected
+
+
 def test_leakage_has_no_idle_frequency(config_path, tmp_path):
     out = tmp_path / "idle"
     with pytest.raises(SystemExit) as exc:
@@ -533,7 +555,7 @@ sys.modules.pop("tempfile", None)  # a site .pth hook may have imported it
 import qcsim, qcsim.cli
 from qcsim import load_device
 load_device(sys.argv[1])
-for subcommand in ("switchoff", "modes"):
+for subcommand in ("switchoff", "modes", "coupling"):
     assert qcsim.cli.main([subcommand, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 assert "tempfile" not in sys.modules, "tempfile was imported"
@@ -543,7 +565,8 @@ assert "tempfile" not in sys.modules, "tempfile was imported"
 def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
     # A fresh process, since this one has numpy loaded: importing the
     # package and the CLI, loading a device, finding the switch-off
-    # point and the default modes sweep all run on `math` alone.
+    # point and the default modes and coupling sweeps all run on `math`
+    # alone.
     src = str(Path(qcsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
@@ -553,6 +576,7 @@ def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "switchoff.json").read_text())["flux_off"] is not None
     assert (tmp_path / "modes.csv").read_text().startswith("flux,mode,kl,freq_ghz,lambda,anharm_mhz\n")
+    assert (tmp_path / "coupling.csv").read_text().startswith(HEADERS["coupling.csv"] + "\n")
 
 
 def test_lazy_package_names_resolve_uncached():

@@ -1,12 +1,16 @@
 """Two-level gate-leakage dynamics against matrix-exponential oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qcsim import (
+    SquidParams,
     SquidState,
     TwoLevelProblem,
     evolve_two_level,
@@ -17,6 +21,8 @@ from qcsim import (
     solve_dispersion,
 )
 from qcsim.constants import TWO_PI, ghz_to_angular
+
+from conftest import sweep_cases
 
 
 def _expm_populations(e1, e2, g, t, psi0=(1.0, 0.0)):
@@ -212,3 +218,35 @@ def test_array_sweep_matches_pointwise_oracle(device, benchmark_like_device, poi
     np.testing.assert_allclose(
         result.columns["p_leak"], [math.sin(g * 40.0) ** 2, math.sin(g * 120.0) ** 2], rtol=0, atol=1e-12
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    case=sweep_cases(),
+    seed=st.integers(0, 40),
+    amps_ghz=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=8),
+    on_resonance=st.booleans(),
+    counts=st.lists(st.integers(1, 200), min_size=1, max_size=8),
+    duration=st.floats(1.0, 100.0),
+    channel=st.sampled_from(["single", "double"]),
+)
+def test_sweep_matches_pointwise_oracle_on_drawn_devices(
+    device, benchmark_like_device, pointwise_leakage, case, seed, amps_ghz, on_resonance, counts, duration, channel
+):
+    # `leakage_sweep` against one `evolve_two_level` per grid point, on a
+    # benchmark-like device whose SQUID is drawn as in the mode sweep
+    # tests, with or without an amplitude on qubit 1's frequency.
+    (r_l, r_c, asymmetry), _, _ = case
+    dev = benchmark_like_device(device, seed)
+    total = dev.line.inductive_energy / r_l * (1.0 + 1e-9)
+    squid = SquidParams(
+        ej1=total * (1 + asymmetry) / 2,
+        ej2=total * (1 - asymmetry) / 2,
+        cs=r_c * dev.line.total_capacitance * (1.0 - 1e-9),
+    )
+    dev = dataclasses.replace(dev, squid=squid)
+    amps = [ghz_to_angular(f) for f in amps_ghz] + [qubit_spectrum(dev.qubit1).omega] * on_resonance
+    result = leakage_sweep(dev, amps, counts, channel=channel, duration=duration)
+    comp, leak = pointwise_leakage(dev, amps, counts, channel, duration)
+    np.testing.assert_allclose(result.columns["p_comp"], comp, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.columns["p_leak"], leak, rtol=0, atol=1e-12)

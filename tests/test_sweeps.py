@@ -1,8 +1,13 @@
-"""Column formatters of the CSV and sidecar writers against the per-cell
-oracles they replace: format_cell for the CSV, json.dumps for the JSON."""
+"""Column formatters of the CSV and sidecar writers, and the sweep files
+they write, against the per-cell oracles they replace: format_cell for
+the CSV, json.dumps for the JSON."""
 
+import argparse
+import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsim import sweeps
-from qcsim.sweeps import format_cell, write_json_atomic
+from qcsim.cli import _write_sweep
+from qcsim.sweeps import SweepResult, Tiled, format_cell, write_json_atomic
 
 # The edges of format_float's fixed-point range and the values just
 # inside it, signed zeros and the non-finite values.
@@ -29,10 +35,21 @@ CELLS = st.one_of(FLOATS, st.integers(-(2**70), 2**70), st.booleans(), st.none()
 @st.composite
 def columns(draw, cells):
     """A column drawn from a few values, each cell possibly the same
-    object as another, as an axis repeated down a table is."""
+    object as another, as an axis repeated down a table is: a plain
+    list, or a `Tiled` column of a few values."""
     pool = draw(st.lists(cells, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        return Tiled(values, draw(st.integers(1, 5)), draw(st.integers(0, 40)))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
     return [pool[i] for i in picks]
+
+
+def _cells(column):
+    """The cells of a column, a `Tiled` one by its definition."""
+    if isinstance(column, Tiled):
+        return [column.values[(i // column.inner) % len(column.values)] for i in range(len(column))]
+    return column
 
 
 def _joined(blocks):
@@ -46,14 +63,68 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=
 @given(st.one_of(columns(FLOATS), columns(CELLS)))
 def test_csv_column_matches_format_cell(column):
     with mock.patch.object(sweeps, "_BLOCK_ROWS", 7):
-        assert _joined(sweeps._csv_blocks(column)) == [format_cell(v) for v in column]
+        assert _joined(sweeps._csv_blocks(column)) == [format_cell(v) for v in _cells(column)]
 
 
 @SETTINGS
 @given(st.one_of(columns(FLOATS), columns(CELLS)))
 def test_json_column_matches_json_dumps(column):
     with mock.patch.object(sweeps, "_BLOCK_ROWS", 7):
-        assert _joined(sweeps._json_blocks(column)) == [json.dumps(v) for v in column]
+        assert _joined(sweeps._json_blocks(column)) == [json.dumps(v) for v in _cells(column)]
+
+
+@st.composite
+def sweep_tables(draw):
+    """1-3 axes with repeated values, result columns over their grid
+    (the last a `Tiled` constant, as leakage's channel is), and a few
+    failed outer points."""
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+    axes = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=9), min_size=1, max_size=3))
+    n = math.prod(map(len, axes))
+    cells = draw(st.lists(CELLS, min_size=1, max_size=8))
+    picks = st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n)
+    results = [[cells[i] for i in draw(picks)] for _ in range(2)] + [Tiled([draw(CELLS)], n, n)]
+    failed = sorted(draw(st.sets(st.integers(0, len(axes[0]) - 1), max_size=4)))
+    return axes, results, failed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sweep_tables())
+def test_sweep_files_match_per_cell_oracles(device, table):
+    # `_write_sweep`'s CSV and sidecar across several write blocks,
+    # against the grid's rows materialised in full and written cell by
+    # cell: a failed outer point keeps one row, with its inner axes blank.
+    axes, results, failed = table
+    header = [f"a{k}" for k in range(len(axes))] + [f"r{j}" for j in range(len(results))]
+    grid = list(itertools.product(*axes))
+    inner = len(grid) // len(axes[0])
+    result_cells = [_cells(column) for column in results]
+    rows, errors = [], []
+    for r, point in enumerate(grid):
+        i = r // inner
+        if i in failed and r % inner:
+            continue
+        if i in failed:
+            errors.append({"row": len(rows), "a0": axes[0][i], "error": f"point {i}"})
+            point = point[:1] + (None,) * (len(axes) - 1)
+        rows.append(list(point) + [cells[r] for cells in result_cells])
+    result = SweepResult(
+        axes={f"a{k}": tuple(values) for k, values in enumerate(axes)},
+        columns={f"r{j}": column for j, column in enumerate(results)},
+        metadata={"errors": [{"flux_index": i, "error": f"point {i}"} for i in failed]},
+    )
+    args = argparse.Namespace(subcommand="sweep", config="device.json")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sweeps, "_BLOCK_ROWS", 7):
+        out = Path(tmp)
+        units = dict.fromkeys(result.columns)
+        _write_sweep(device, args, out, header, axes, result, units)
+        csv = (out / "sweep.csv").read_bytes()
+        sidecar = (out / "sweep.meta.json").read_bytes()
+    lines = [header] + [[format_cell(cell) for cell in row] for row in rows]
+    assert csv == "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
+    metadata = {**json.loads(sidecar)["metadata"], "errors": errors}
+    doc = {"header": header, "metadata": metadata, "rows": rows}
+    assert sidecar == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_write_json_atomic_leaves_nothing_on_failure(tmp_path):
