@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
-from .constants import E_CHARGE, FLUX_QUANTUM, HBAR, TWO_PI, angular_to_ghz, ghz_to_angular
+from .constants import E_CHARGE, HBAR, angular_to_ghz, ghz_to_angular
 from .errors import ConfigError, RegimeError, RegimeWarning
 
 # Transmon hierarchy guards on EJ/EC.
@@ -34,11 +34,14 @@ R_C_MAX = 0.5
 PHI_S_MAX = 0.3
 
 
-def _require_positive(value: float, name: str) -> None:
-    """Reject zero, negative and non-finite parameters (NaN passes every
-    ordinary comparison guard)."""
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
+def _require_positive(component, prefix: str) -> None:
+    """Reject zero, negative and non-finite values in every field of
+    `component` (NaN passes every ordinary comparison guard), naming the
+    field `<prefix>.<field>`."""
+    for name in _FIELDS[type(component)]:
+        value = getattr(component, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{prefix}.{name} must be positive and finite, got {value}")
 
 
 def charging_energy(c_total: float) -> float:
@@ -76,8 +79,7 @@ class SquidParams:
     cs: float
 
     def __post_init__(self) -> None:
-        for name in ("ej1", "ej2", "cs"):
-            _require_positive(getattr(self, name), f"squid.{name}")
+        _require_positive(self, "squid")
         if not -1.0 < self.asymmetry < 1.0:
             raise ConfigError(f"squid asymmetry {self.asymmetry} outside (-1, 1)")
 
@@ -90,11 +92,6 @@ class SquidParams:
     def asymmetry(self) -> float:
         return (self.ej1 - self.ej2) / (self.ej1 + self.ej2)
 
-    @property
-    def critical_current(self) -> float:
-        """Summed junction critical current in A (derived, never stored)."""
-        return TWO_PI * (self.total * 1e9 * HBAR) / FLUX_QUANTUM
-
 
 @dataclass(frozen=True)
 class TransmissionLineParams:
@@ -105,8 +102,7 @@ class TransmissionLineParams:
     l0: float
 
     def __post_init__(self) -> None:
-        for name in ("length", "c0", "l0"):
-            _require_positive(getattr(self, name), f"line.{name}")
+        _require_positive(self, "line")
 
     @property
     def phase_velocity(self) -> float:
@@ -135,8 +131,7 @@ class QubitParams:
     ej: float
 
     def __post_init__(self) -> None:
-        _require_positive(self.c_total, "qubit.c_total")
-        _require_positive(self.ej, "qubit.ej")
+        _require_positive(self, "qubit")
         ratio = self.ej / charging_energy(self.c_total)
         if ratio < TRANSMON_RATIO_MIN:
             raise ConfigError(
@@ -176,8 +171,7 @@ class CouplingCaps:
     cc: float
 
     def __post_init__(self) -> None:
-        for name in ("c12", "c1c", "c2c", "cc"):
-            _require_positive(getattr(self, name), f"caps.{name}")
+        _require_positive(self, "caps")
         small = max(self.c1c, self.c2c)
         if self.cc / small < 50.0:
             warnings.warn(
@@ -308,20 +302,18 @@ def derive_ratios(device: DeviceConfig) -> DeviceRatios:
 
 # --- JSON serialization -------------------------------------------------
 #
-# The document layout mirrors the dataclasses field for field.  Energy
-# fields are ordinary GHz in JSON; a qubit may specify either "ej" or a
-# target "omega" (GHz), never both.  Unknown keys are hard errors.
+# The document has one section per DeviceConfig field, and each section's
+# keys are the fields of its component class, which its positivity guard
+# also checks.  Energy fields are ordinary GHz in JSON; a qubit may
+# specify either "ej" or a target "omega" (GHz), never both.  Unknown
+# keys are hard errors.
 
-_SCHEMA = {
-    "qubit1": {"c_total", "ej", "omega"},
-    "qubit2": {"c_total", "ej", "omega"},
-    "line": {"length", "c0", "l0"},
-    "squid": {"ej1", "ej2", "cs"},
-    "caps": {"c12", "c1c", "c2c", "cc"},
-}
+_SECTIONS = get_type_hints(DeviceConfig)
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _SECTIONS.values()}
+_GHZ_KEYS = frozenset({"ej", "omega", "ej1", "ej2"})
 
 
-def _check_keys(section: dict, allowed: set, path: str) -> None:
+def _check_keys(section: dict, allowed, path: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object, got {type(section).__name__}")
     for key in section:
@@ -330,6 +322,7 @@ def _check_keys(section: dict, allowed: set, path: str) -> None:
 
 
 def _number(section: dict, key: str, path: str) -> float:
+    """The finite number `section[key]`, in rad/ns for a GHz key."""
     if key not in section:
         raise ConfigError(f"missing key '{key}' in {path}")
     value = section[key]
@@ -337,11 +330,11 @@ def _number(section: dict, key: str, path: str) -> float:
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
-    return float(value)
+    return ghz_to_angular(float(value)) if key in _GHZ_KEYS else float(value)
 
 
 def _qubit_from_dict(section: dict, path: str) -> QubitParams:
-    _check_keys(section, _SCHEMA["qubit1"], path)
+    _check_keys(section, (*_FIELDS[QubitParams], "omega"), path)
     c_total = _number(section, "c_total", path)
     has_ej = "ej" in section
     has_omega = "omega" in section
@@ -349,66 +342,41 @@ def _qubit_from_dict(section: dict, path: str) -> QubitParams:
         raise ConfigError(f"{path}: specify exactly one of 'ej' or 'omega'")
     try:
         if has_ej:
-            return QubitParams(c_total=c_total, ej=ghz_to_angular(_number(section, "ej", path)))
-        omega = ghz_to_angular(_number(section, "omega", path))
-        return QubitParams.from_frequency(c_total, omega)
+            return QubitParams(c_total=c_total, ej=_number(section, "ej", path))
+        return QubitParams.from_frequency(c_total, _number(section, "omega", path))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def device_from_dict(data: dict) -> DeviceConfig:
     """Build and validate a DeviceConfig from a parsed JSON document."""
-    _check_keys(data, set(_SCHEMA), "device")
-    for name in _SCHEMA:
+    _check_keys(data, _SECTIONS, "device")
+    for name in _SECTIONS:
         if name not in data:
             raise ConfigError(f"missing section '{name}' in device")
-    line_sec, squid_sec, caps_sec = data["line"], data["squid"], data["caps"]
-    _check_keys(line_sec, _SCHEMA["line"], "line")
-    _check_keys(squid_sec, _SCHEMA["squid"], "squid")
-    _check_keys(caps_sec, _SCHEMA["caps"], "caps")
-    line = TransmissionLineParams(
-        length=_number(line_sec, "length", "line"),
-        c0=_number(line_sec, "c0", "line"),
-        l0=_number(line_sec, "l0", "line"),
-    )
-    squid = SquidParams(
-        ej1=ghz_to_angular(_number(squid_sec, "ej1", "squid")),
-        ej2=ghz_to_angular(_number(squid_sec, "ej2", "squid")),
-        cs=_number(squid_sec, "cs", "squid"),
-    )
-    caps = CouplingCaps(
-        c12=_number(caps_sec, "c12", "caps"),
-        c1c=_number(caps_sec, "c1c", "caps"),
-        c2c=_number(caps_sec, "c2c", "caps"),
-        cc=_number(caps_sec, "cc", "caps"),
-    )
-    qubit1 = _qubit_from_dict(data["qubit1"], "qubit1")
-    qubit2 = _qubit_from_dict(data["qubit2"], "qubit2")
-    return DeviceConfig(qubit1=qubit1, qubit2=qubit2, line=line, squid=squid, caps=caps)
+    # The qubit sections, with their ej/omega rule, are read after the others.
+    plain = [(name, cls) for name, cls in _SECTIONS.items() if cls is not QubitParams]
+    for name, cls in plain:
+        _check_keys(data[name], _FIELDS[cls], name)
+    parts = {}
+    for name, cls in plain:
+        parts[name] = cls(*[_number(data[name], key, name) for key in _FIELDS[cls]])
+    for name, cls in _SECTIONS.items():
+        if cls is QubitParams:
+            parts[name] = _qubit_from_dict(data[name], name)
+    return DeviceConfig(**parts)
 
 
 def device_to_dict(device: DeviceConfig) -> dict:
     """Serialize to the JSON layout (ordinary GHz; qubits normalized to 'ej')."""
-    return {
-        "qubit1": {"c_total": device.qubit1.c_total, "ej": angular_to_ghz(device.qubit1.ej)},
-        "qubit2": {"c_total": device.qubit2.c_total, "ej": angular_to_ghz(device.qubit2.ej)},
-        "line": {
-            "length": device.line.length,
-            "c0": device.line.c0,
-            "l0": device.line.l0,
-        },
-        "squid": {
-            "ej1": angular_to_ghz(device.squid.ej1),
-            "ej2": angular_to_ghz(device.squid.ej2),
-            "cs": device.squid.cs,
-        },
-        "caps": {
-            "c12": device.caps.c12,
-            "c1c": device.caps.c1c,
-            "c2c": device.caps.c2c,
-            "cc": device.caps.cc,
-        },
-    }
+    document = {}
+    for name, cls in _SECTIONS.items():
+        component = getattr(device, name)
+        section = document[name] = {}
+        for key in _FIELDS[cls]:
+            value = getattr(component, key)
+            section[key] = angular_to_ghz(value) if key in _GHZ_KEYS else value
+    return document
 
 
 def load_device(path) -> DeviceConfig:

@@ -12,7 +12,8 @@ per process and reuses it.  The zz, leakage and validate runners
 import numpy when they run; `switchoff` never loads it, and `modes`
 and `coupling` only to write a table longer than 1,000 rows.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure.
+Exit codes: 0 success, 1 usage error, 2 validation failure (an
+unreadable config and an unwritable --out included).
 """
 
 from __future__ import annotations
@@ -375,28 +376,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out_dir = Path(args.out)
     started = time.monotonic()
     try:
-        device = load_device(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, RegimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        outputs = _RUNNERS[args.subcommand](device, args, out_dir)
+        try:
+            device = load_device(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+        try:
+            outputs, status = _RUNNERS[args.subcommand](device, args, out_dir), 0
+        except _ValidationFailure as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            outputs, status = [], 2
+        _write_manifest(args, out_dir, outputs, time.monotonic() - started)
     except (ConfigError, RegimeError, LabelingError) as exc:
+        # ConfigError and RegimeError are ValueErrors, so they go first.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_manifest(args, out_dir, [], time.monotonic() - started)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # Bad axis specs and similar argument problems are usage errors.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, out_dir, outputs, time.monotonic() - started)
-    return 0
+    return status
 
 
 def _write_manifest(args, out_dir: Path, outputs: List[str], duration: float) -> None:

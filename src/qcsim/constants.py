@@ -11,7 +11,6 @@ import math
 # CODATA 2018, 10 significant digits.
 E_CHARGE = 1.602176634e-19      # elementary charge, C
 HBAR = 1.054571817e-34          # reduced Planck constant, J s
-FLUX_QUANTUM = 2.067833848e-15  # magnetic flux quantum h/(2e), Wb
 
 TWO_PI = 2.0 * math.pi
 

