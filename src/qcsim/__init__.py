@@ -30,12 +30,10 @@ from .circuit import (
 from .constants import DEFAULT_COUPLER_ANHARM, angular_to_ghz, ghz_to_angular
 from .coupling import (
     CouplingReport,
-    MultimodeCoupling,
     SwitchOffResult,
     coupling_sweep,
     direct_coupling,
     effective_coupling,
-    multimode_effective_coupling,
     qubit_coupler_coupling,
     switch_off,
 )

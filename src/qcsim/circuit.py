@@ -380,11 +380,21 @@ def device_to_dict(device: DeviceConfig) -> dict:
 
 
 def load_device(path) -> DeviceConfig:
-    """Read and validate a device config from a JSON file."""
+    """Read and validate a device config from a JSON file.  A key given
+    twice in one object is an error, not a silent overwrite."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
+
+    def unique_keys(pairs: list) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigError(f"{path}: duplicate key '{key}'")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

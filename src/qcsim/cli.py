@@ -9,8 +9,8 @@ whose SweepResult `_write_sweep` writes as CSV and sidecar; a sweep
 point that fails blanks only its own row and is named in the sidecar
 as {"row", <first column>, "error"}.  `main` builds its parser once
 per process and reuses it.  The zz, leakage and validate runners
-import numpy when they run; `switchoff` never loads it, and `modes`
-and `coupling` only to write a table longer than 1,000 rows.
+import numpy when they run; `switchoff`, `modes` and `coupling` never
+load it, at any grid size.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (an
 unreadable config and an unwritable --out included).
@@ -251,8 +251,7 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
     """(name, ok, detail) triples for the built-in invariant battery."""
     import numpy as np
 
-    from .crosstalk import _N1, _N2, _NC, _axis, _hamiltonians, coupler_shifts, zz_report
-    from .dynamics import leakage_sweep
+    from .crosstalk import zz_report
 
     checks: List[tuple] = []
 
@@ -290,29 +289,6 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
         if abs(lhs - rhs) > 1e-12 * max(abs(lhs), 1e-30):
             raise AssertionError("mediated-term identity broken")
 
-    def hamiltonian_structure():
-        # The per-point matrices `zz_sweep` diagonalizes block by block.
-        w_probe = max(qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega)
-        axis = _axis(device, [w_probe + TWO_PI * 0.4])
-        h = _hamiltonians(axis, coupler_shifts(DEFAULT_COUPLER_ANHARM, 3))[0]
-        if not np.array_equal(h, h.T):
-            raise AssertionError("three-body Hamiltonian not symmetric")
-        total = _N1 + _NC + _N2
-        nz = np.argwhere(h != 0.0)
-        if not np.all(total[nz[:, 0]] == total[nz[:, 1]]):
-            raise AssertionError("Hamiltonian mixes excitation-number blocks")
-
-    def conservation():
-        # Pulses on resonance with the first qubit and 0.4 GHz either
-        # side of it, each held for 1, 3 and 10 gates.
-        w1 = qubit_spectrum(device.qubit1).omega
-        amps = [w1 + TWO_PI * d for d in (-0.4, 0.0, 0.4)]
-        for channel in ("single", "double"):
-            sweep = leakage_sweep(device, amps, [1, 3, 10], channel=channel)
-            dev = max(abs(c + l - 1.0) for c, l in zip(sweep.columns["p_comp"], sweep.columns["p_leak"]))
-            if dev > 1e-12:
-                raise AssertionError(f"{channel} channel: p_comp + p_leak off 1 by {dev:.1e}")
-
     def roundtrip():
         target = solve_dispersion(device, SquidState(flux=0.25), 1)[0].omega
         flux = flux_for_frequency(device, target)
@@ -331,8 +307,6 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
     run("flux monotonicity", monotone)
     run("analytic-approximation consistency", approx)
     run("mediated-coupling identity", mediated_identity)
-    run("Hamiltonian symmetry and block structure", hamiltonian_structure)
-    run("leakage population conservation", conservation)
     run("flux inversion round trip", roundtrip)
     run("perturbative vs exact crosstalk", zz_consistency)
     return checks

@@ -11,8 +11,7 @@ plus the resonator-mediated term
 
 with D_j = w_j - wc and S_j = w_j + wc.  Above both qubit frequencies
 the mediated term is negative and cancels the direct one at a single
-frequency, the switch-off point.  The rotating-wave multimode variant
-keeps only the 1/D terms and sums over resonator modes.
+frequency, the switch-off point.
 
 `effective_coupling` evaluates one coupler frequency and `coupling_sweep`
 a whole axis of them, point by point; both run one formula body, so they
@@ -30,7 +29,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .circuit import CouplingConstants, DeviceConfig
 from .errors import RegimeError, RegimeWarning
-from .modes import ModeSolution, flux_for_frequency, tuning_band
+from .modes import flux_for_frequency, tuning_band
 from .sweeps import SweepResult
 
 DISPERSIVE_GUARD = 0.3
@@ -41,8 +40,7 @@ class CouplingReport(NamedTuple):
 
     `direct` and `mediated` are the two terms of g_eff; `mediated_rwa`
     is the mediated term without the counter-rotating 1/(w_j + wc)
-    contributions, i.e. the single-mode value of the rotating-wave
-    multimode sum.  `guard1`/`guard2` are |g_jc / D_j|.  An immutable
+    contributions.  `guard1`/`guard2` are |g_jc / D_j|.  An immutable
     named tuple: `_fields`, `_replace` and `_asdict` apply to it.
     """
 
@@ -160,43 +158,6 @@ def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResul
         axes={"omega_c": tuple(values)},
         columns=dict(zip(_FIELDS, zip(*rows))),
         metadata={"errors": errors},
-    )
-
-
-@dataclass(frozen=True)
-class MultimodeCoupling:
-    """Rotating-wave net coupling with per-mode mediated contributions."""
-
-    g_eff: float
-    direct: float
-    contributions: Tuple[float, ...]
-
-
-def multimode_effective_coupling(
-    device: DeviceConfig, modes: Sequence[ModeSolution]
-) -> MultimodeCoupling:
-    """Net coupling g12 + sum_n g1c(n)*g2c(n)*(1/D1(n) + 1/D2(n))/2 over
-    the supplied resonator modes (rotating-wave form, no counter-rotating
-    terms).
-
-    The per-mode couplings reuse the capacitive single-mode formula with
-    that mode's frequency substituted, which ignores any mode-dependent
-    participation factor; for strongly non-equidistant ladders the
-    higher-mode terms are small near the operating point but not
-    negligible far from it.
-    """
-    k = device.coupling_constants
-    contributions = []
-    for mode in modes:
-        d1 = k.w1 - mode.omega
-        d2 = k.w2 - mode.omega
-        if d1 == 0.0 or d2 == 0.0:
-            raise RegimeError(f"mode {mode.index} resonant with a qubit at {mode.omega} rad/ns")
-        g1c = qubit_coupler_coupling(device, 1, mode.omega)
-        g2c = qubit_coupler_coupling(device, 2, mode.omega)
-        contributions.append(0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2))
-    return MultimodeCoupling(
-        g_eff=k.g12 + sum(contributions), direct=k.g12, contributions=tuple(contributions)
     )
 
 

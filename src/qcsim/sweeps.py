@@ -10,13 +10,11 @@ The CSV and sidecar writers take a table as a header plus one sequence
 per column, and write the bytes that `format_cell` (CSV) and
 `json.dumps` (sidecar) give cell by cell.  A `Tiled` column, such as a
 grid axis or a constant label, has each of its values formatted once and
-those texts repeated down it.  Any other column is formatted in one pass
-per block of rows: by the C JSON encoder for the sidecar, and for the
-CSV of a table longer than one block, a block of floats by one `.9g`
-pass that numpy corrects where format_float prints otherwise.  Rows are
-joined and written a block at a time.  numpy is imported only for that
-array pass, so writing a table of one block or less, or a JSON
-document, does not load it.
+those texts repeated down it.  Any other column is formatted a block of
+rows at a time: by `format_float` for a cell of type float and
+`format_cell` for any other cell in the CSV, and by one C JSON encoder
+pass per block for the sidecar.  Rows are joined and written a block at
+a time.  The module runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -143,19 +141,6 @@ def format_cell(value) -> str:
     return format_float(float(value))
 
 
-def _float_csv_texts(values: List[float]) -> List[str]:
-    """format_float of each value: one `.9g` pass, then format_float
-    again for only the cells it prints otherwise (zero, NaN, |x| < 1e-4
-    or >= 1e7)."""
-    import numpy as np
-
-    texts = list(map("%.9g".__mod__, values))
-    mag = np.abs(np.array(values))
-    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e7))).tolist():
-        texts[i] = format_float(values[i])
-    return texts
-
-
 # A newline between items, and `indent` left at None, so that `encode`
 # runs the C encoder.  A scalar's JSON never holds a raw newline (strings
 # escape it), so splitting the output at newlines yields exactly
@@ -189,18 +174,15 @@ def _text_blocks(column: Sequence, texts: Callable[[list], List[str]]) -> Iterat
     return (texts(list(column[start : start + _BLOCK_ROWS])) for start in starts)
 
 
+def _csv_texts(cells: list) -> List[str]:
+    """format_cell of each cell, with a float handed to format_float
+    directly."""
+    return [format_float(x) if type(x) is float else format_cell(x) for x in cells]
+
+
 def _csv_blocks(column: Sequence) -> Iterator[List[str]]:
-    """format_cell of each cell of a column, in blocks.  In a table
-    longer than one block, cells that are all of type float go through
-    one array pass; a shorter table leaves numpy unloaded."""
-    long = len(column) > _BLOCK_ROWS
-
-    def texts(cells: list) -> List[str]:
-        if long and set(map(type, cells)) == {float}:
-            return _float_csv_texts(cells)
-        return list(map(format_cell, cells))
-
-    return _text_blocks(column, texts)
+    """format_cell of each cell of a column, in blocks."""
+    return _text_blocks(column, _csv_texts)
 
 
 def _json_blocks(column: Sequence) -> Iterator[List[str]]:

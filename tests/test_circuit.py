@@ -312,6 +312,23 @@ def test_parse_error_reports_position(tmp_path):
         load_device(path)
 
 
+def test_duplicate_key_is_an_error(config_path, tmp_path, capsys):
+    # json keeps the last of two equal keys; the loader refuses both.
+    from qcsim import load_device
+    from qcsim.cli import main
+
+    with open(config_path, encoding="utf-8") as handle:
+        text = handle.read()
+    assert text.count('"c12": 0.06,') == 1
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"c12": 0.06,', '"c12": 0.06, "c12": 0.5,'), encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        load_device(path)
+    assert str(raised.value) == f"{path}: duplicate key 'c12'"
+    assert main(["switchoff", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: duplicate key 'c12'\n"
+
+
 def test_round_trip_serialization():
     dev = _device()
     clone = device_from_dict(json.loads(json.dumps(device_to_dict(dev))))

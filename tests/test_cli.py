@@ -1,5 +1,6 @@
 """Output formatting, sweep plumbing, and the command-line workflow."""
 
+import hashlib
 import json
 import math
 import os
@@ -408,7 +409,7 @@ def test_zz_failed_points_stay_local(degenerate_device, tmp_path):
 def test_validate_passes_on_reference_config(config_path, tmp_path, capsys):
     assert main(["validate", "--config", config_path, "--out", str(tmp_path / "v")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 5
     assert all(line.startswith("ok  ") for line in lines)
 
 
@@ -568,7 +569,18 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
     assert not (tmp_path / "bad").exists()
 
 
-_NUMPY_FREE_SCRIPT = """
+# Tables longer than one write block, with their CSVs' SHA-256.
+_LONG_TABLES = [
+    ["modes", "--flux", "0:0.45:401", "--n-modes", "3"],
+    ["coupling", "--omega-c", "4.2:6.0:1801"],
+]
+_LONG_TABLE_SHA256 = {
+    "modes.csv": "21c2e95d9829869a58c63c5055b14185ad3e6a6efe34afdd25edc784c4fe7235",
+    "coupling.csv": "85e663b13e88103d0890465ba7fba1f31e342a9434a1c3e481830b59439c3554",
+}
+
+_NUMPY_FREE_SCRIPT = f"""
+_LONG_TABLES = {_LONG_TABLES!r}
 import sys
 sys.modules.pop("tempfile", None)  # a site .pth hook may have imported it
 import qcsim, qcsim.cli
@@ -576,6 +588,8 @@ from qcsim import load_device
 load_device(sys.argv[1])
 for subcommand in ("switchoff", "modes", "coupling"):
     assert qcsim.cli.main([subcommand, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+for argv in _LONG_TABLES:
+    assert qcsim.cli.main(argv + ["--config", sys.argv[1], "--out", sys.argv[2] + "/long"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 assert "tempfile" not in sys.modules, "tempfile was imported"
 """
@@ -584,8 +598,8 @@ assert "tempfile" not in sys.modules, "tempfile was imported"
 def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
     # A fresh process, since this one has numpy loaded: importing the
     # package and the CLI, loading a device, finding the switch-off
-    # point and the default modes and coupling sweeps all run on `math`
-    # alone.
+    # point and the modes and coupling sweeps, at their defaults and on
+    # tables longer than one write block, all run on `math` alone.
     src = str(Path(qcsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
@@ -596,6 +610,21 @@ def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
     assert json.loads((tmp_path / "switchoff.json").read_text())["flux_off"] is not None
     assert (tmp_path / "modes.csv").read_text().startswith("flux,mode,kl,freq_ghz,lambda,anharm_mhz\n")
     assert (tmp_path / "coupling.csv").read_text().startswith(HEADERS["coupling.csv"] + "\n")
+    assert len((tmp_path / "long" / "modes.csv").read_text().splitlines()) == 1 + 401 * 3
+
+
+def test_long_tables_and_switch_off_are_pinned(config_path, tmp_path):
+    # The bytes of the modes and coupling tables that span several write
+    # blocks, and the switch-off values as written.  The search's
+    # residual is left out: it is bisection noise on a grid that depends
+    # on the libm-computed band top.
+    for argv in _LONG_TABLES + [["switchoff"]]:
+        assert main(argv + ["--config", config_path, "--out", str(tmp_path)]) == 0
+    for name, digest in _LONG_TABLE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    texts = json.loads((tmp_path / "switchoff.json").read_text(), parse_float=str)
+    del texts["residual_khz"]
+    assert texts == {"omega_off_ghz": "4.12619898", "flux_off": "0.487265694", "dispersive_guard": "0.296267586"}
 
 
 def test_lazy_package_names_resolve_uncached():

@@ -14,7 +14,6 @@ from qcsim import (
     CouplingCaps,
     CouplingReport,
     DeviceConfig,
-    ModeSolution,
     QubitParams,
     RegimeError,
     RegimeWarning,
@@ -26,7 +25,6 @@ from qcsim import (
     direct_coupling,
     effective_coupling,
     ghz_to_angular,
-    multimode_effective_coupling,
     qubit_coupler_coupling,
     qubit_spectrum,
     solve_dispersion,
@@ -40,10 +38,6 @@ from conftest import sweep_cases
 def _with_caps(device, **overrides):
     caps = dataclasses.replace(device.caps, **overrides)
     return dataclasses.replace(device, caps=caps)
-
-
-def _fake_mode(omega: float) -> ModeSolution:
-    return ModeSolution(index=1, kl=1.5, omega=omega, lam=0.0, anharmonicity=0.0)
 
 
 # --- direct coupling -----------------------------------------------------
@@ -291,44 +285,6 @@ def test_coupling_report_is_an_immutable_named_tuple(device):
     assert hash(rep) == hash(effective_coupling(device, TWO_PI * 5.0))
     assert rep._asdict()["g_eff"] == rep.g_eff == rep[4]
     assert rep._replace(g_eff=0.0).g_eff == 0.0 != rep.g_eff
-
-
-# --- multimode -----------------------------------------------------------
-
-
-def test_multimode_empty_is_direct(device):
-    out = multimode_effective_coupling(device, [])
-    assert out.g_eff == direct_coupling(device)
-    assert out.contributions == ()
-
-
-def test_single_mode_matches_rotating_wave_part(device):
-    omega_c = TWO_PI * 4.5
-    rep = effective_coupling(device, omega_c)
-    out = multimode_effective_coupling(device, [_fake_mode(omega_c)])
-    assert out.contributions[0] == pytest.approx(rep.mediated_rwa, rel=1e-12)
-    assert out.g_eff == pytest.approx(rep.g12 + rep.mediated_rwa, rel=1e-12)
-
-
-def test_higher_mode_contribution(device):
-    # At the switch-off operating flux the second mode contributes under
-    # 5% of the fundamental's mediated term; at zero flux (mode far from
-    # the qubits) the ratio is large (~42%) because the reused coupling
-    # formula grows with mode frequency.
-    result = switch_off(device)
-    modes_op = solve_dispersion(device, SquidState(flux=result.flux_off), 2)
-    out_op = multimode_effective_coupling(device, modes_op)
-    assert abs(out_op.contributions[1] / out_op.contributions[0]) < 0.05
-
-    modes_0 = solve_dispersion(device, SquidState(flux=0.0), 2)
-    out_0 = multimode_effective_coupling(device, modes_0)
-    assert abs(out_0.contributions[1] / out_0.contributions[0]) == pytest.approx(0.419, abs=0.02)
-
-
-def test_multimode_resonant_mode_errors(device):
-    w1 = qubit_spectrum(device.qubit1).omega
-    with pytest.raises(RegimeError, match="resonant"):
-        multimode_effective_coupling(device, [_fake_mode(w1)])
 
 
 # --- switch-off ----------------------------------------------------------
