@@ -303,10 +303,10 @@ def derive_ratios(device: DeviceConfig) -> DeviceRatios:
 # --- JSON serialization -------------------------------------------------
 #
 # The document has one section per DeviceConfig field, and each section's
-# keys are the fields of its component class, which its positivity guard
-# also checks.  Energy fields are ordinary GHz in JSON; a qubit may
-# specify either "ej" or a target "omega" (GHz), never both.  Unknown
-# keys are hard errors.
+# keys are the fields of its component class.  Every number must be
+# positive, and an error names the document's field and value.  Energy
+# fields are ordinary GHz in JSON; a qubit may specify either "ej" or a
+# target "omega" (GHz), never both.  Unknown keys are hard errors.
 
 _SECTIONS = get_type_hints(DeviceConfig)
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _SECTIONS.values()}
@@ -333,17 +333,26 @@ def _number(section: dict, key: str, path: str) -> float:
     return ghz_to_angular(float(value)) if key in _GHZ_KEYS else float(value)
 
 
+def _numbers(section: dict, keys, path: str) -> list:
+    """`_number` of each key, all read before any is checked for sign; a
+    value that is not positive is named `<path>.<key>` with its value as
+    the document gives it."""
+    values = [_number(section, key, path) for key in keys]
+    for key, value in zip(keys, values):
+        if not value > 0:
+            raise ConfigError(f"{path}.{key} must be positive and finite, got {section[key]!r}")
+    return values
+
+
 def _qubit_from_dict(section: dict, path: str) -> QubitParams:
     _check_keys(section, (*_FIELDS[QubitParams], "omega"), path)
-    c_total = _number(section, "c_total", path)
+    _number(section, "c_total", path)  # its type errors come before the ej/omega rule
     has_ej = "ej" in section
-    has_omega = "omega" in section
-    if has_ej == has_omega:
+    if has_ej == ("omega" in section):
         raise ConfigError(f"{path}: specify exactly one of 'ej' or 'omega'")
+    c_total, energy = _numbers(section, ("c_total", "ej" if has_ej else "omega"), path)
     try:
-        if has_ej:
-            return QubitParams(c_total=c_total, ej=_number(section, "ej", path))
-        return QubitParams.from_frequency(c_total, _number(section, "omega", path))
+        return QubitParams(c_total, energy) if has_ej else QubitParams.from_frequency(c_total, energy)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -358,9 +367,7 @@ def device_from_dict(data: dict) -> DeviceConfig:
     plain = [(name, cls) for name, cls in _SECTIONS.items() if cls is not QubitParams]
     for name, cls in plain:
         _check_keys(data[name], _FIELDS[cls], name)
-    parts = {}
-    for name, cls in plain:
-        parts[name] = cls(*[_number(data[name], key, name) for key in _FIELDS[cls]])
+    parts = {name: cls(*_numbers(data[name], _FIELDS[cls], name)) for name, cls in plain}
     for name, cls in _SECTIONS.items():
         if cls is QubitParams:
             parts[name] = _qubit_from_dict(data[name], name)

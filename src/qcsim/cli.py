@@ -167,7 +167,7 @@ def _write_sweep(
     csv_path = out_dir / f"{args.subcommand}.csv"
     write_csv(csv_path, header, columns)
     sidecar = out_dir / f"{args.subcommand}.meta.json"
-    write_sidecar(sidecar, header, columns, metadata)
+    write_sidecar(sidecar, header, metadata)
     return [str(csv_path), str(sidecar)]
 
 

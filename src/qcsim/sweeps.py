@@ -2,19 +2,19 @@
 
 Data files carry no timestamps and print floats with 9 significant
 digits (lowercase scientific outside [1e-4, 1e7)), so identical inputs
-produce byte-identical CSVs.  Run metadata (device hash, tool version,
-timestamp, per-point errors) lives in a JSON sidecar next to each CSV,
-and a manifest is written atomically after every run.
+produce byte-identical CSVs.  Each CSV has a JSON sidecar next to it
+that holds its header and the run metadata (device hash, tool version,
+timestamp, per-point errors), and a manifest is written after every
+run; both, like every JSON file, are written atomically.
 
-The CSV and sidecar writers take a table as a header plus one sequence
-per column, and write the bytes that `format_cell` (CSV) and
-`json.dumps` (sidecar) give cell by cell.  A `Tiled` column, such as a
-grid axis or a constant label, has each of its values formatted once and
-those texts repeated down it.  Any other column is formatted a block of
-rows at a time: by `format_float` for a cell of type float and
-`format_cell` for any other cell in the CSV, and by one C JSON encoder
-pass per block for the sidecar.  Rows are joined and written a block at
-a time.  The module runs on the standard library alone.
+The CSV writer takes a table as a header plus one sequence per column,
+and writes the bytes that `format_cell` gives cell by cell.  A `Tiled`
+column, such as a grid axis or a constant label, has each of its values
+formatted once and those texts repeated down it.  Any other column is
+formatted a block of rows at a time, by `format_float` for a cell of
+type float and `format_cell` for any other cell.  Rows are joined and
+written a block at a time.  The module runs on the standard library
+alone.
 """
 
 from __future__ import annotations
@@ -40,21 +40,14 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        expected = 1
-        for values in self.axes.values():
-            expected *= len(values)
+        n = self.n_points
         for name, column in self.columns.items():
-            if len(column) != expected:
-                raise ValueError(
-                    f"column '{name}' has {len(column)} entries, expected {expected}"
-                )
+            if len(column) != n:
+                raise ValueError(f"column '{name}' has {len(column)} entries, expected {n}")
 
     @property
     def n_points(self) -> int:
-        out = 1
-        for values in self.axes.values():
-            out *= len(values)
-        return out
+        return math.prod(map(len, self.axes.values()))
 
 
 class Tiled(abc.Sequence):
@@ -141,106 +134,52 @@ def format_cell(value) -> str:
     return format_float(float(value))
 
 
-# A newline between items, and `indent` left at None, so that `encode`
-# runs the C encoder.  A scalar's JSON never holds a raw newline (strings
-# escape it), so splitting the output at newlines yields exactly
-# json.dumps of each item.
-_CELLS_ENCODER = json.JSONEncoder(separators=("\n", ": "))
-
-
-def _json_texts(values: list) -> List[str]:
-    """json.dumps of each scalar value."""
-    return _CELLS_ENCODER.encode(values)[1:-1].split("\n") if values else []
-
-
 # Rows formatted and written at a time, so that no text is held for a
 # whole large table: multi-megabyte strings made anew on every large
 # sweep fragmented the heap and raised the process's peak RSS, and a
-# string per cell of the table doubled the writers' peak memory.
+# string per cell of the table doubled the writer's peak memory.
 _BLOCK_ROWS = 1000
 
 
-def _text_blocks(column: Sequence, texts: Callable[[list], List[str]]) -> Iterator[List[str]]:
-    """The text of each cell of a column, _BLOCK_ROWS cells at a time.
-
-    A `Tiled` column has `texts` run once, on its values, and those
-    texts tiled down the column; any other column has `texts` run once
-    per block on the block's cells.
-    """
-    starts = range(0, len(column), _BLOCK_ROWS)
-    if isinstance(column, Tiled):
-        cells = iter(Tiled(texts(list(column.values)), column.inner, len(column)))
-        return (list(islice(cells, _BLOCK_ROWS)) for _ in starts)
-    return (texts(list(column[start : start + _BLOCK_ROWS])) for start in starts)
-
-
-def _csv_texts(cells: list) -> List[str]:
+def _csv_texts(cells: Sequence) -> List[str]:
     """format_cell of each cell, with a float handed to format_float
     directly."""
     return [format_float(x) if type(x) is float else format_cell(x) for x in cells]
 
 
 def _csv_blocks(column: Sequence) -> Iterator[List[str]]:
-    """format_cell of each cell of a column, in blocks."""
-    return _text_blocks(column, _csv_texts)
+    """format_cell of each cell of a column, _BLOCK_ROWS cells at a time.
 
-
-def _json_blocks(column: Sequence) -> Iterator[List[str]]:
-    """json.dumps of each scalar cell of a column, in blocks."""
-    return _text_blocks(column, _json_texts)
-
-
-def _row_count(header: Sequence[str], columns: Sequence[Sequence]) -> int:
-    if len(columns) != len(header):
-        raise ValueError(f"{len(columns)} columns for a {len(header)}-name header")
-    lengths = {len(column) for column in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    return lengths.pop() if lengths else 0
-
-
-def _write_rows(handle, column_blocks: List[Iterator[List[str]]], cell_sep: str, row_sep: str) -> None:
-    """Write the rows across the columns' text blocks, cells joined by
-    `cell_sep` and rows by `row_sep`."""
-    for i, block in enumerate(zip(*column_blocks)):
-        if i:
-            handle.write(row_sep)
-        handle.write(row_sep.join(map(cell_sep.join, zip(*block))))
+    A `Tiled` column has its values formatted once and those texts tiled
+    down the column; any other column is formatted a block at a time.
+    """
+    starts = range(0, len(column), _BLOCK_ROWS)
+    if isinstance(column, Tiled):
+        cells = iter(Tiled(_csv_texts(column.values), column.inner, len(column)))
+        return (list(islice(cells, _BLOCK_ROWS)) for _ in starts)
+    return (_csv_texts(column[start : start + _BLOCK_ROWS]) for start in starts)
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """UTF-8, LF line endings, exactly the given header, then one line per
     row of the equally long `columns` (one per header name)."""
-    n_rows = _row_count(header, columns)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for a {len(header)}-name header")
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        if n_rows:
-            _write_rows(handle, [_csv_blocks(column) for column in columns], ",", "\n")
+        for block in zip(*map(_csv_blocks, columns)):
+            handle.write("\n".join(map(",".join, zip(*block))))
             handle.write("\n")
 
 
-def write_sidecar(path: Path, header: Sequence[str], columns: Sequence[Sequence], metadata: dict) -> None:
-    """JSON mirror of a CSV plus run metadata (timestamps allowed here).
-
-    The bytes are those of json.dumps(doc, indent=2, sort_keys=True) for
-    doc = {"header", "metadata", "rows"}, where the rows run across the
-    equally long `columns` of scalars.  The cells are encoded a column
-    at a time by the C encoder and laid out as the indenting encoder
-    would.
-    """
-    n_rows = _row_count(header, columns)
-    text = json.dumps(
-        {"header": list(header), "metadata": metadata, "rows": []}, indent=2, sort_keys=True
-    )
-    with path.open("w", encoding="utf-8") as handle:
-        if not n_rows:
-            handle.write(text + "\n")
-            return
-        # "rows" sorts last, so the document ends with its empty list.
-        handle.write(text[: -len("[]\n}")] + "[\n    [\n      ")
-        blocks = [_json_blocks(column) for column in columns]
-        _write_rows(handle, blocks, ",\n      ", "\n    ],\n    [\n      ")
-        handle.write("\n    ]\n  ]\n}\n")
+def write_sidecar(path: Path, header: Sequence[str], metadata: dict) -> None:
+    """A CSV's JSON sidecar {"header", "metadata"}: its header and the
+    run metadata (timestamps allowed here), written by
+    `write_json_atomic`."""
+    write_json_atomic(path, {"header": list(header), "metadata": metadata})
 
 
 def write_json_atomic(path: Path, document: dict) -> None:

@@ -351,15 +351,14 @@ _REFERENCE_KEYS = {
     "caps": ("c12", "c1c", "c2c", "cc"),
 }
 
-# What each field's own guard says about -1.0.  Energies are checked in
-# rad/ns, after the GHz conversion; a qubit's errors past its number
-# checks carry the section name.
-_NEGATIVE = {
-    "c_total": "{s}: capacitance must be positive, got -1.0 fF",
-    "omega": "{s}: target qubit frequency must be positive, got -6.283185307179586",
-    "ej1": "squid.ej1 must be positive and finite, got -6.283185307179586",
-    "ej2": "squid.ej2 must be positive and finite, got -6.283185307179586",
-}
+def _number_cases(s, k, edits=()):
+    """A field's wrong type, NaN and negative value, each named
+    `<section>.<field>` with the value the document holds."""
+    field, edits = f"{s}.{k}", list(edits)
+    yield f"{field}-string", edits + [(field, "x")], f"{field}: expected a number, got 'x'"
+    yield f"{field}-nan", edits + [(field, math.nan)], f"{field}: expected a finite number, got nan"
+    yield f"{field}-bool", edits + [(field, True)], f"{field}: expected a number, got True"
+    yield f"{field}-negative", edits + [(field, -1.0)], f"{field} must be positive and finite, got -1.0"
 
 
 def _field_cases():
@@ -368,13 +367,7 @@ def _field_cases():
         yield f"{s}-not-object", [(s, [1])], f"{s}: expected an object, got list"
         yield f"{s}-unknown-key", [(f"{s}.bogus", 1)], f"unknown key 'bogus' in {s}"
         for k in keys:
-            # A qubit's energy is read inside its ej/omega rule.
-            where = f"{s}: {s}.{k}" if k == "omega" else f"{s}.{k}"
-            yield f"{s}.{k}-string", [(f"{s}.{k}", "x")], f"{where}: expected a number, got 'x'"
-            yield f"{s}.{k}-nan", [(f"{s}.{k}", math.nan)], f"{where}: expected a finite number, got nan"
-            yield f"{s}.{k}-bool", [(f"{s}.{k}", True)], f"{where}: expected a number, got True"
-            negative = _NEGATIVE.get(k, "{s}.{k} must be positive and finite, got -1.0")
-            yield f"{s}.{k}-negative", [(f"{s}.{k}", -1.0)], negative.format(s=s, k=k)
+            yield from _number_cases(s, k)
             absent = (
                 f"{s}: specify exactly one of 'ej' or 'omega'"
                 if k == "omega"
@@ -383,14 +376,7 @@ def _field_cases():
             yield f"{s}.{k}-absent", [(f"{s}.{k}", _DROP)], absent
     yield "device-unknown-key", [("bogus", 1)], "unknown key 'bogus' in device"
     # A qubit given by its Josephson energy instead of its frequency.
-    by_ej = [("qubit1.omega", _DROP)]
-    for label, value, message in [
-        ("string", "x", "qubit1: qubit1.ej: expected a number, got 'x'"),
-        ("nan", math.nan, "qubit1: qubit1.ej: expected a finite number, got nan"),
-        ("bool", True, "qubit1: qubit1.ej: expected a number, got True"),
-        ("negative", -1.0, "qubit1: qubit.ej must be positive and finite, got -6.283185307179586"),
-    ]:
-        yield f"qubit1.ej-{label}", by_ej + [("qubit1.ej", value)], message
+    yield from _number_cases("qubit1", "ej", [("qubit1.omega", _DROP)])
 
 
 # Two faults at once: which one is reported first.

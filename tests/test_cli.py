@@ -25,6 +25,7 @@ from qcsim import (
     effective_coupling,
     format_float,
     ghz_to_angular,
+    leakage_sweep,
     load_device,
     parse_axis,
     qubit_spectrum,
@@ -155,11 +156,12 @@ def test_sidecar_bytes_match_indented_json(tmp_path, rows):
         "idle_ghz": 4.5,
         "errors": [{"row": 0, "omega_c_ghz": 4.0, "error": "pole \"x\""}, {"row": 3, "nested": {"b": [1, None], "a": math.nan}}],
     }
-    header, columns = _header_and_columns(rows)
+    header, _ = _header_and_columns(rows)
     path = tmp_path / "s.meta.json"
-    write_sidecar(path, header, columns, metadata)
-    doc = {"metadata": metadata, "header": header, "rows": [list(row) for row in rows]}
+    write_sidecar(path, header, metadata)
+    doc = {"metadata": metadata, "header": header}
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.meta.json"]
 
 
 @pytest.mark.parametrize("rows", TABLES)
@@ -174,8 +176,6 @@ def test_writers_reject_mismatched_columns(tmp_path):
     for header, columns in ((["a", "b"], [[1.0]]), (["a", "b"], [[1.0], [2.0, 3.0]])):
         with pytest.raises(ValueError, match="column"):
             write_csv(tmp_path / "t.csv", header, columns)
-        with pytest.raises(ValueError, match="column"):
-            write_sidecar(tmp_path / "t.meta.json", header, columns, {})
 
 
 def test_csv_writer_uses_lf(tmp_path):
@@ -232,6 +232,23 @@ def test_sidecars_and_manifests(config_path, tmp_path):
     # temporary file behind.
     for name in ("modes.manifest.json", "modes.meta.json"):
         assert (out / name).stat().st_mode == (out / "modes.csv").stat().st_mode, name
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_sweep_sidecars_hold_header_and_metadata_only(config_path, tmp_path):
+    # The data live in the CSV alone: each sweep's sidecar is its header
+    # plus the run metadata, and the atomic write leaves no temporary file.
+    out = tmp_path / "out"
+    for argv in (
+        ["modes", "--flux", "0:0.4:5"],
+        ["coupling", "--omega-c", "4.2:6.0:5"],
+        ["zz", "--omega-c", "4.3:4.8:3"],
+        ["leakage", "--amp", "3.9:4.1:3", "--ncz", "1:3:3"],
+    ):
+        assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
+        sidecar = json.loads((out / f"{argv[0]}.meta.json").read_text())
+        assert set(sidecar) == {"header", "metadata"}, argv[0]
+        assert sidecar["header"] == HEADERS[f"{argv[0]}.csv"].split(",")
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
@@ -650,23 +667,22 @@ def test_lazy_package_names_resolve_uncached():
 def test_leakage_csv_matches_pointwise_oracle(config_path, tmp_path, pointwise_leakage, channel):
     # The array-evaluated sweep prints the same 9-digit cells as one
     # `evolve_two_level` per point, on the benchmark's 20,100-point grid,
-    # and its sidecar holds the same rows at full precision.
+    # and its columns hold the same populations at full precision.
     out = tmp_path / "out"
     argv = ["leakage", "--amp", "3.9:4.3:201", "--ncz", "1:100:100", "--channel", channel]
     assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
     amps_ghz = parse_axis("3.9:4.3:201").values()
     counts = list(range(1, 101))
     amps = [ghz_to_angular(a) for a in amps_ghz]
-    comp, leak = pointwise_leakage(load_device(config_path), amps, counts, channel, 40.0)
+    dev = load_device(config_path)
+    comp, leak = pointwise_leakage(dev, amps, counts, channel, 40.0)
     grid = [(a, float(n)) for a in amps_ghz for n in counts]
     rows = [[a, n, c, p, channel] for (a, n), c, p in zip(grid, comp, leak)]
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
     assert (out / "leakage.csv").read_bytes() == _csv_text(header, rows)
-    sidecar = json.loads((out / "leakage.meta.json").read_text(encoding="utf-8"))
-    assert sidecar["header"] == header
-    assert [r[:2] + r[4:] for r in sidecar["rows"]] == [r[:2] + r[4:] for r in rows]
-    populations = [x for r in sidecar["rows"] for x in r[2:4]]
-    assert populations == pytest.approx([x for r in rows for x in r[2:4]], rel=0, abs=1e-14)
+    columns = leakage_sweep(dev, amps, counts, channel=channel, duration=40.0).columns
+    assert list(columns["p_comp"]) == pytest.approx(comp, rel=0, abs=1e-14)
+    assert list(columns["p_leak"]) == pytest.approx(leak, rel=0, abs=1e-14)
 
 
 def test_sweep_csvs_match_per_cell_oracle(device, benchmark_like_device, tmp_path):

@@ -1,6 +1,6 @@
-"""Column formatters of the CSV and sidecar writers, and the sweep files
-they write, against the per-cell oracles they replace: format_cell for
-the CSV, json.dumps for the JSON."""
+"""The CSV writer's column formatter, and the sweep files written, against
+the per-cell oracles they replace: format_cell for the CSV, json.dumps
+for the sidecar."""
 
 import argparse
 import itertools
@@ -66,13 +66,6 @@ def test_csv_column_matches_format_cell(column):
         assert _joined(sweeps._csv_blocks(column)) == [format_cell(v) for v in _cells(column)]
 
 
-@SETTINGS
-@given(st.one_of(columns(FLOATS), columns(CELLS)))
-def test_json_column_matches_json_dumps(column):
-    with mock.patch.object(sweeps, "_BLOCK_ROWS", 7):
-        assert _joined(sweeps._json_blocks(column)) == [json.dumps(v) for v in _cells(column)]
-
-
 @st.composite
 def sweep_tables(draw):
     """1-3 axes with repeated values, result columns over their grid
@@ -123,7 +116,7 @@ def test_sweep_files_match_per_cell_oracles(device, table):
     lines = [header] + [[format_cell(cell) for cell in row] for row in rows]
     assert csv == "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
     metadata = {**json.loads(sidecar)["metadata"], "errors": errors}
-    doc = {"header": header, "metadata": metadata, "rows": rows}
+    doc = {"header": header, "metadata": metadata}
     assert sidecar == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
