@@ -5,12 +5,15 @@ run reads a JSON device config (--config), writes deterministic data
 files under --out (default ./out) plus a JSON sidecar with metadata and
 per-point errors, and finishes by atomically writing a run manifest.
 Each sweep subcommand (modes, coupling, zz, leakage) is one sweep
-whose SweepResult `_write_sweep` writes as CSV and sidecar; a sweep
-point that fails blanks only its own row and is named in the sidecar
-as {"row", <first column>, "error"}.  `main` builds its parser once
-per process and reuses it.  The zz, leakage and validate runners
-import numpy when they run; `switchoff`, `modes` and `coupling` never
-load it, at any grid size.
+whose SweepResult `_write_sweep` writes as CSV and sidecar.  A sweep
+CSV is the full grid, one row per sweep point.  A point that fails
+keeps its axis cells, leaves its result cells blank and is named in
+the sidecar as {"row", <first column>, "error"}; at a flux point,
+only the modes from the first without a root up are blank, and the
+lower modes stay.  `main` builds its parser once per process and
+reuses it.  The zz, leakage and validate runners import numpy when
+they run; `switchoff`, `modes` and `coupling` never load it, at any
+grid size.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (an
 unreadable config and an unwritable --out included).
@@ -127,40 +130,27 @@ def _write_sweep(
     The columns are the `axes` (output units, outermost first), each a
     `Tiled` column repeated row-major over the grid, then the result
     columns named in `units`: as they are where the unit is None, else
-    angular_to_ghz(value) * unit.  A failed outer point (a one-axis
-    sweep's "row", mode_sweep's "flux_index", in ascending order) takes
-    a single CSV row: its outer-axis value, blank inner axes and its
-    first row's result cells.  Each sidecar error is {"row": <CSV row>,
-    header[0]: <outer-axis value>, "error"}.  Without errors the
-    columns go to the writers as they are.
+    angular_to_ghz(value) * unit.  Row i of `result` is CSV row i, so
+    the CSV holds the full grid of `result.n_points` rows and a failed
+    point keeps its axis cells.  Each sidecar error is {"row": <CSV
+    row>, header[0]: <outer-axis value>, "error"}.
     """
-    errors = result.metadata.get("errors", [])
-    failed = [e["flux_index"] if "flux_index" in e else e["row"] for e in errors]
     n = result.n_points
     columns, inner = [], n
     for values in axes:
         inner //= len(values)
         columns.append(Tiled(values, inner, n))
-    inner = columns[0].inner  # rows per outer point
     for name, unit in units.items():
         column = result.columns[name]
         if unit is not None:
             column = [None if v is None else angular_to_ghz(v) * unit for v in column]
         columns.append(column)
-    if failed:
-        skip = set(failed)
-        rows = [r for r in range(n) if r % inner == 0 or r // inner not in skip]
-        columns = [
-            [None if 0 < k < len(axes) and r // inner in skip else column[r] for r in rows]
-            for k, column in enumerate(columns)
-        ]
     metadata = {
         **_metadata(device, args),
         **result.metadata,
-        # Each failed point before the k-th dropped its inner - 1 other rows.
         "errors": [
-            {"row": i * inner - k * (inner - 1), header[0]: axes[0][i], "error": e["error"]}
-            for k, (i, e) in enumerate(zip(failed, errors))
+            {"row": e["row"], header[0]: axes[0][e["row"] // columns[0].inner], "error": e["error"]}
+            for e in result.metadata.get("errors", [])
         ],
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,7 +163,7 @@ def _write_sweep(
 
 def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
     result = mode_sweep(device, parse_axis(args.flux).values(), args.n_modes)
-    axes = [result.axes["flux"], [float(m) for m in result.axes["mode"]]]
+    axes = [result.axes["flux"], result.axes["mode"]]
     header = ["flux", "mode", "kl", "freq_ghz", "lambda", "anharm_mhz"]
     units = {"kl": None, "omega": 1.0, "lam": None, "anharmonicity": 1e3}
     return _write_sweep(device, args, out_dir, header, axes, result, units)

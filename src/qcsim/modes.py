@@ -178,9 +178,10 @@ def mode_sweep(device: DeviceConfig, flux: Sequence[float], n_modes: int = 1) ->
 
     Row-major over axes flux and mode (1..n_modes), with columns kl,
     omega (rad/ns), lam and anharmonicity (rad/ns), the same bits
-    `solve_dispersion` gives.  Where `solve_dispersion` raises at a flux
-    point, all of that point's n_modes rows hold None and
-    metadata["errors"] lists {"flux_index", "flux", "error"}.
+    `solve_dispersion` gives.  The modes of a flux point are solved in
+    order up to the first that raises: that mode's row and those above
+    it hold None, the lower modes keep their values, and
+    metadata["errors"] lists {"row": <first blank row>, "flux", "error"}.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
@@ -193,10 +194,11 @@ def mode_sweep(device: DeviceConfig, flux: Sequence[float], n_modes: int = 1) ->
     for i, f in enumerate(flux):
         try:
             load = flux_factor(device, SquidState(flux=f)) / ratios.r_l
-            rows += [_mode(n, ratios, load, rad_per_kl) for n in range(1, n_modes + 1)]
+            for n in range(1, n_modes + 1):
+                rows.append(_mode(n, ratios, load, rad_per_kl))
         except (ConfigError, RegimeError) as exc:
-            errors.append({"flux_index": i, "flux": f, "error": str(exc)})
-            rows += [(None,) * 4] * n_modes
+            errors.append({"row": len(rows), "flux": f, "error": str(exc)})
+            rows += [(None,) * 4] * ((i + 1) * n_modes - len(rows))
     names = ("kl", "omega", "lam", "anharmonicity")
     return SweepResult(
         axes={"flux": tuple(flux), "mode": tuple(range(1, n_modes + 1))},

@@ -252,54 +252,84 @@ def test_sweep_sidecars_hold_header_and_metadata_only(config_path, tmp_path):
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+def _blank_mode_rows(errors, n_modes):
+    """The CSV rows a modes run leaves blank: each error's row up to the
+    last mode of its flux point."""
+    return [r for e in errors for r in range(e["row"], e["row"] - e["row"] % n_modes + n_modes)]
+
+
 def test_per_point_errors_leave_axis_cells(config_path, tmp_path):
+    # Every row of the 5 x 3 grid keeps its flux and mode cells; only a
+    # failed point's rows from its error's row on have empty result
+    # cells.
     out = tmp_path / "out"
     assert main(["modes", "--config", config_path, "--out", str(out), "--flux", "0.4:0.6:5"]) == 0
     lines = (out / "modes.csv").read_text().splitlines()
     assert lines[0] == HEADERS["modes.csv"]
-    bad = [line for line in lines[1:] if line.endswith(",,,,,")]
-    assert bad, "expected rows with empty observable cells"
-    sidecar = json.loads((out / "modes.meta.json").read_text())
-    assert len(sidecar["metadata"]["errors"]) == len(bad)
-    assert "branch" in sidecar["metadata"]["errors"][-1]["error"] or "diverges" in sidecar[
-        "metadata"
-    ]["errors"][-1]["error"]
+    rows = [line.split(",") for line in lines[1:]]
+    grid = [[format_float(f), str(m)] for f in parse_axis("0.4:0.6:5").values() for m in (1, 2, 3)]
+    assert [row[:2] for row in rows] == grid
+    errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
+    assert errors
+    assert [j for j, row in enumerate(rows) if row[2:] == [""] * 4] == _blank_mode_rows(errors, 3)
+    assert "branch" in errors[-1]["error"] or "diverges" in errors[-1]["error"]
 
 
 def test_modes_error_rows_index_their_blank_csv_rows(config_path, tmp_path):
-    # A failed flux point takes one CSV row, so with two modes per point
-    # an error's "row" is not twice its flux index.
+    # With two modes per flux point, an error's "row" is twice its flux
+    # index, plus one where mode 1 solved and only mode 2 has no root.
     out = tmp_path / "out"
     argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0.4:0.6:9", "--n-modes", "2"]
     assert main(argv) == 0
     rows = [line.split(",") for line in (out / "modes.csv").read_text().splitlines()[1:]]
     errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
-    assert errors
+    assert len(rows) == 9 * 2 and errors
+    axis = parse_axis("0.4:0.6:9").values()
     for error in errors:
-        assert rows[error["row"]] == [format_float(error["flux"])] + [""] * 5
-    assert len(errors) == sum(row[1:] == [""] * 5 for row in rows)
+        assert error["flux"] == axis[error["row"] // 2]
+        assert rows[error["row"]] == [format_float(error["flux"]), str(error["row"] % 2 + 1)] + [""] * 4
+        if error["row"] % 2:
+            assert "" not in rows[error["row"] - 1]
+    assert [j for j, row in enumerate(rows) if row[2:] == [""] * 4] == _blank_mode_rows(errors, 2)
 
 
 def test_error_rows_of_a_grid_longer_than_one_block(config_path, tmp_path):
     # About half of 801 flux points fail past the branch's end, over
-    # more than one write block: each error's "row" is the recount of
-    # the CSV rows written before it, one per failed point and two per
-    # solved one.
+    # more than one write block.  The CSV is the full 801 x 2 grid, and
+    # an error's "row" is mode k's row at the first k that
+    # `solve_dispersion` rejects.
     out = tmp_path / "out"
     argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0:1:801", "--n-modes", "2"]
     assert main(argv) == 0
     rows = [line.split(",") for line in (out / "modes.csv").read_text().splitlines()[1:]]
     errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
-    assert len(rows) > 1000 and len(errors) > 100
-    failed = {e["flux"] for e in errors}
-    expected, row = [], 0
-    for flux in parse_axis("0:1:801").values():
-        if flux in failed:
-            expected.append(row)
-        row += 1 if flux in failed else 2
+    assert len(rows) == 801 * 2 and len(errors) > 100
+    dev = load_device(config_path)
+    expected = []
+    for i, flux in enumerate(parse_axis("0:1:801").values()):
+        for k in (1, 2):
+            try:
+                solve_dispersion(dev, SquidState(flux=flux), k)
+            except RegimeError:
+                expected.append(2 * i + k - 1)
+                break
     assert [e["row"] for e in errors] == expected
-    assert row == len(rows)
-    assert [j for j, cells in enumerate(rows) if cells[1:] == [""] * 5] == expected
+    assert {e["row"] % 2 for e in errors} == {0, 1}
+    assert [j for j, cells in enumerate(rows) if cells[2:] == [""] * 4] == _blank_mode_rows(errors, 2)
+
+
+def test_modes_keep_the_fundamental_where_mode_3_has_no_root(config_path, tmp_path):
+    # Near the switch-off flux only mode 3's branch has no root: all 33
+    # rows are written, and mode 1's frequency is there at every flux
+    # point, falling with flux.
+    out = tmp_path / "out"
+    argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0.48:0.49:11", "--n-modes", "3"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in (out / "modes.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 33
+    fundamental = [float(row[3]) for row in rows if row[1] == "1"]
+    assert len(fundamental) == 11
+    assert all(b < a for a, b in zip(fundamental, fundamental[1:]))
 
 
 def test_leakage_has_no_idle_frequency(config_path, tmp_path):
@@ -586,15 +616,14 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
     assert not (tmp_path / "bad").exists()
 
 
-# Tables longer than one write block, with their CSVs' SHA-256.
-_LONG_TABLES = [
-    ["modes", "--flux", "0:0.45:401", "--n-modes", "3"],
-    ["coupling", "--omega-c", "4.2:6.0:1801"],
-]
+# Tables longer than one write block, with their CSVs' SHA-256.  The
+# last runs past the flux branches' end, so about half its points fail.
 _LONG_TABLE_SHA256 = {
-    "modes.csv": "21c2e95d9829869a58c63c5055b14185ad3e6a6efe34afdd25edc784c4fe7235",
-    "coupling.csv": "85e663b13e88103d0890465ba7fba1f31e342a9434a1c3e481830b59439c3554",
+    ("modes", "--flux", "0:0.45:401", "--n-modes", "3"): "21c2e95d9829869a58c63c5055b14185ad3e6a6efe34afdd25edc784c4fe7235",
+    ("coupling", "--omega-c", "4.2:6.0:1801"): "85e663b13e88103d0890465ba7fba1f31e342a9434a1c3e481830b59439c3554",
+    ("modes", "--flux", "0:1:801", "--n-modes", "2"): "bc5ea5f4a3a312f864f76beb49c379cb629551916f5c85513808e14f29730269",
 }
+_LONG_TABLES = [list(argv) for argv in _LONG_TABLE_SHA256]
 
 _NUMPY_FREE_SCRIPT = f"""
 _LONG_TABLES = {_LONG_TABLES!r}
@@ -605,8 +634,8 @@ from qcsim import load_device
 load_device(sys.argv[1])
 for subcommand in ("switchoff", "modes", "coupling"):
     assert qcsim.cli.main([subcommand, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-for argv in _LONG_TABLES:
-    assert qcsim.cli.main(argv + ["--config", sys.argv[1], "--out", sys.argv[2] + "/long"]) == 0
+for k, argv in enumerate(_LONG_TABLES):
+    assert qcsim.cli.main(argv + ["--config", sys.argv[1], "--out", sys.argv[2] + f"/long{{k}}"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 assert "tempfile" not in sys.modules, "tempfile was imported"
 """
@@ -627,7 +656,7 @@ def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
     assert json.loads((tmp_path / "switchoff.json").read_text())["flux_off"] is not None
     assert (tmp_path / "modes.csv").read_text().startswith("flux,mode,kl,freq_ghz,lambda,anharm_mhz\n")
     assert (tmp_path / "coupling.csv").read_text().startswith(HEADERS["coupling.csv"] + "\n")
-    assert len((tmp_path / "long" / "modes.csv").read_text().splitlines()) == 1 + 401 * 3
+    assert len((tmp_path / "long0" / "modes.csv").read_text().splitlines()) == 1 + 401 * 3
 
 
 def test_long_tables_and_switch_off_are_pinned(config_path, tmp_path):
@@ -635,10 +664,10 @@ def test_long_tables_and_switch_off_are_pinned(config_path, tmp_path):
     # blocks, and the switch-off values as written.  The search's
     # residual is left out: it is bisection noise on a grid that depends
     # on the libm-computed band top.
-    for argv in _LONG_TABLES + [["switchoff"]]:
-        assert main(argv + ["--config", config_path, "--out", str(tmp_path)]) == 0
-    for name, digest in _LONG_TABLE_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    for argv, digest in _LONG_TABLE_SHA256.items():
+        assert main(list(argv) + ["--config", config_path, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / f"{argv[0]}.csv").read_bytes()).hexdigest() == digest, argv
+    assert main(["switchoff", "--config", config_path, "--out", str(tmp_path)]) == 0
     texts = json.loads((tmp_path / "switchoff.json").read_text(), parse_float=str)
     del texts["residual_khz"]
     assert texts == {"omega_off_ghz": "4.12619898", "flux_off": "0.487265694", "dispersive_guard": "0.296267586"}
@@ -701,16 +730,14 @@ def test_sweep_csvs_match_per_cell_oracle(device, benchmark_like_device, tmp_pat
     assert main(["modes", "--flux", "0:0.6:13", "--n-modes", "2"] + base) == 0
     rows = []
     for flux in parse_axis("0:0.6:13").values():
-        try:
-            modes = solve_dispersion(dev, SquidState(flux=flux), 2)
-        except point_errors:
-            rows.append([flux] + [None] * 5)
-            continue
-        for m in modes:
-            rows.append(
-                [flux, float(m.index), m.kl, angular_to_ghz(m.omega), m.lam, angular_to_ghz(m.anharmonicity) * 1e3]
-            )
-    assert any(row[1] is None for row in rows)
+        for k in (1, 2):
+            try:
+                m = solve_dispersion(dev, SquidState(flux=flux), k)[k - 1]
+            except point_errors:
+                rows.append([flux, k] + [None] * 4)
+                continue
+            rows.append([flux, k, m.kl, angular_to_ghz(m.omega), m.lam, angular_to_ghz(m.anharmonicity) * 1e3])
+    assert any(row[2] is None for row in rows)
     assert (out / "modes.csv").read_bytes() == _csv_text(HEADERS["modes.csv"].split(","), rows)
 
     axis = f"{f1!r}:6.0:10"

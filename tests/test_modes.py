@@ -290,9 +290,10 @@ def test_closed_form_inversion_matches_bisection_for_any_asymmetry(
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sweep_cases())
 def test_mode_sweep_matches_pointwise_solver(device, case):
-    # The sweep against `solve_dispersion` at every point:
-    # the same bits, and at a point the solver rejects, the same error
-    # on blank rows.
+    # The sweep against `solve_dispersion` at every point and mode:
+    # mode k's row holds the bits of solve_dispersion(..., k)[k - 1] up
+    # to the first k the solver rejects, whose error names that mode's
+    # row, and from there the point's rows are blank.
     (r_l, r_c, asymmetry), flux, n_modes = case
     line = device.line
     # The drawn ratios, moved just inside their bounds against rounding.
@@ -307,16 +308,17 @@ def test_mode_sweep_matches_pointwise_solver(device, case):
     assert sweep.axes == {"flux": tuple(flux), "mode": tuple(range(1, n_modes + 1))}
     errors = []
     for i, f in enumerate(flux):
-        rows = range(i * n_modes, (i + 1) * n_modes)
-        try:
-            modes = solve_dispersion(dev, SquidState(flux=f), n_modes)
-        except (ConfigError, RegimeError) as exc:
-            errors.append({"flux_index": i, "flux": f, "error": str(exc)})
-            assert all(sweep.columns[name][r] is None for name in sweep.columns for r in rows)
-            continue
-        for row, mode in zip(rows, modes):
+        for k in range(1, n_modes + 1):
+            row = i * n_modes + k - 1
+            try:
+                mode = solve_dispersion(dev, SquidState(flux=f), k)[k - 1]
+            except (ConfigError, RegimeError) as exc:
+                errors.append({"row": row, "flux": f, "error": str(exc)})
+                blank = range(row, (i + 1) * n_modes)
+                assert all(sweep.columns[name][r] is None for name in sweep.columns for r in blank)
+                break
             for name in ("kl", "omega", "lam", "anharmonicity"):
-                assert sweep.columns[name][row] == getattr(mode, name), (name, f, mode.index)
+                assert sweep.columns[name][row] == getattr(mode, name), (name, f, k)
     assert sweep.metadata["errors"] == errors
 
 

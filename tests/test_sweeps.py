@@ -70,14 +70,14 @@ def test_csv_column_matches_format_cell(column):
 def sweep_tables(draw):
     """1-3 axes with repeated values, result columns over their grid
     (the last a `Tiled` constant, as leakage's channel is), and a few
-    failed outer points."""
+    failed rows."""
     pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
     axes = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=9), min_size=1, max_size=3))
     n = math.prod(map(len, axes))
     cells = draw(st.lists(CELLS, min_size=1, max_size=8))
     picks = st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n)
     results = [[cells[i] for i in draw(picks)] for _ in range(2)] + [Tiled([draw(CELLS)], n, n)]
-    failed = sorted(draw(st.sets(st.integers(0, len(axes[0]) - 1), max_size=4)))
+    failed = sorted(draw(st.sets(st.integers(0, n - 1), max_size=4)))
     return axes, results, failed
 
 
@@ -86,25 +86,18 @@ def sweep_tables(draw):
 def test_sweep_files_match_per_cell_oracles(device, table):
     # `_write_sweep`'s CSV and sidecar across several write blocks,
     # against the grid's rows materialised in full and written cell by
-    # cell: a failed outer point keeps one row, with its inner axes blank.
+    # cell: every grid point is one row, failed or not, and each error
+    # names its row and that row's outer-axis value.
     axes, results, failed = table
     header = [f"a{k}" for k in range(len(axes))] + [f"r{j}" for j in range(len(results))]
     grid = list(itertools.product(*axes))
-    inner = len(grid) // len(axes[0])
     result_cells = [_cells(column) for column in results]
-    rows, errors = [], []
-    for r, point in enumerate(grid):
-        i = r // inner
-        if i in failed and r % inner:
-            continue
-        if i in failed:
-            errors.append({"row": len(rows), "a0": axes[0][i], "error": f"point {i}"})
-            point = point[:1] + (None,) * (len(axes) - 1)
-        rows.append(list(point) + [cells[r] for cells in result_cells])
+    rows = [list(point) + [cells[r] for cells in result_cells] for r, point in enumerate(grid)]
+    errors = [{"row": r, "a0": grid[r][0], "error": f"point {r}"} for r in failed]
     result = SweepResult(
         axes={f"a{k}": tuple(values) for k, values in enumerate(axes)},
         columns={f"r{j}": column for j, column in enumerate(results)},
-        metadata={"errors": [{"flux_index": i, "error": f"point {i}"} for i in failed]},
+        metadata={"errors": [{"row": r, "library_axis": r, "error": f"point {r}"} for r in failed]},
     )
     args = argparse.Namespace(subcommand="sweep", config="device.json")
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sweeps, "_BLOCK_ROWS", 7):
