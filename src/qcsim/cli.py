@@ -1,19 +1,27 @@
 """Command-line front end: config ingestion, sweep orchestration, data files.
 
 Subcommands: modes, coupling, switchoff, zz, leakage, validate.  Every
-run reads a JSON device config (--config), writes deterministic data
-files under --out (default ./out) plus a JSON sidecar with metadata and
-per-point errors, and finishes by atomically writing a run manifest.
-Each sweep subcommand (modes, coupling, zz, leakage) is one sweep
-whose SweepResult `_write_sweep` writes as CSV and sidecar.  A sweep
-CSV is the full grid, one row per sweep point.  A point that fails
-keeps its axis cells, leaves its result cells blank and is named in
-the sidecar as {"row", <first column>, "error"}; at a flux point,
-only the modes from the first without a root up are blank, and the
-lower modes stay.  `main` builds its parser once per process and
-reuses it.  The zz, leakage and validate runners import numpy when
-they run; `switchoff`, `modes` and `coupling` never load it, at any
-grid size.
+run reads a JSON device config (--config) and writes its data file under
+--out (default ./out): `<subcommand>.csv` for a sweep, else
+`switchoff.json` or `validate.json`, each deterministic and
+timestamp-free.  `main` then writes the run's one metadata file,
+`<subcommand>.meta.json`: a flat JSON object with device_hash,
+tool_version, timestamp, config, flags (the subcommand's own options),
+outputs (the data files' names in --out) and duration_s, plus the
+runner's own entries: a sweep's per-point errors, leakage's channel and
+duration_ns, switchoff's roots_ghz and band_ghz.  A run stopped by an
+error writes no metadata file; a validate run whose checks fail writes
+both files and exits 2.
+
+Each sweep subcommand (modes, coupling, zz, leakage) is one sweep whose
+SweepResult `_write_sweep` writes as CSV.  A sweep CSV is the full
+grid, one row per sweep point.  A point that fails keeps its axis
+cells, leaves its result cells blank and is named in errors as {"row",
+<first column>, "error"}; at a flux point, only the modes from the
+first without a root up are blank, and the lower modes stay.  `main`
+builds its parser once per process and reuses it.  The zz, leakage and
+validate runners import numpy when they run; `switchoff`, `modes` and
+`coupling` never load it, at any grid size.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (an
 unreadable config and an unwritable --out included).
@@ -107,33 +115,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _metadata(device: DeviceConfig, args: argparse.Namespace) -> dict:
-    return {
-        "device_hash": device_hash(device_to_dict(device)),
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": args.config,
-    }
-
-
 def _write_sweep(
-    device: DeviceConfig,
-    args: argparse.Namespace,
-    out_dir: Path,
+    path: Path,
     header: Sequence[str],
     axes: Sequence[Sequence],
     result: SweepResult,
     units: Dict[str, Optional[float]],
-) -> List[str]:
-    """Write a sweep's `<subcommand>.csv` and sidecar under `out_dir`.
+) -> dict:
+    """Write a sweep as the CSV `path` and return its metadata entries.
 
     The columns are the `axes` (output units, outermost first), each a
     `Tiled` column repeated row-major over the grid, then the result
     columns named in `units`: as they are where the unit is None, else
     angular_to_ghz(value) * unit.  Row i of `result` is CSV row i, so
     the CSV holds the full grid of `result.n_points` rows and a failed
-    point keeps its axis cells.  Each sidecar error is {"row": <CSV
-    row>, header[0]: <outer-axis value>, "error"}.
+    point keeps its axis cells.  The entries are `result.metadata`, its
+    errors each as {"row": <CSV row>, header[0]: <outer-axis value>,
+    "error"}, and outputs, the CSV's name.
     """
     n = result.n_points
     columns, inner = [], n
@@ -145,39 +143,35 @@ def _write_sweep(
         if unit is not None:
             column = [None if v is None else angular_to_ghz(v) * unit for v in column]
         columns.append(column)
-    metadata = {
-        **_metadata(device, args),
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(path, header, columns)
+    return {
         **result.metadata,
         "errors": [
             {"row": e["row"], header[0]: axes[0][e["row"] // columns[0].inner], "error": e["error"]}
             for e in result.metadata.get("errors", [])
         ],
+        "outputs": [path.name],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{args.subcommand}.csv"
-    write_csv(csv_path, header, columns)
-    sidecar = out_dir / f"{args.subcommand}.meta.json"
-    write_sidecar(sidecar, header, metadata)
-    return [str(csv_path), str(sidecar)]
 
 
-def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
+def _run_modes(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> dict:
     result = mode_sweep(device, parse_axis(args.flux).values(), args.n_modes)
     axes = [result.axes["flux"], result.axes["mode"]]
     header = ["flux", "mode", "kl", "freq_ghz", "lambda", "anharm_mhz"]
     units = {"kl": None, "omega": 1.0, "lam": None, "anharmonicity": 1e3}
-    return _write_sweep(device, args, out_dir, header, axes, result, units)
+    return _write_sweep(out_dir / "modes.csv", header, axes, result, units)
 
 
-def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
+def _run_coupling(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> dict:
     f_values = parse_axis(args.omega_c).values()
     result = coupling_sweep(device, [ghz_to_angular(f) for f in f_values])
     header = ["omega_c_ghz", "g12_mhz", "g1c_mhz", "g2c_mhz", "geff_mhz"]
     units = dict.fromkeys(("g12", "g1c", "g2c", "g_eff"), 1e3)
-    return _write_sweep(device, args, out_dir, header, [f_values], result, units)
+    return _write_sweep(out_dir / "coupling.csv", header, [f_values], result, units)
 
 
-def _run_switchoff(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
+def _run_switchoff(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> dict:
     result = switch_off(device)
     document = {
         "omega_off_ghz": float(format_float(angular_to_ghz(result.omega_off))),
@@ -186,22 +180,15 @@ def _run_switchoff(device: DeviceConfig, args: argparse.Namespace, out_dir: Path
         "dispersive_guard": float(format_float(result.guard)),
     }
     print(json.dumps(document, sort_keys=True))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "switchoff.json"
-    write_json_atomic(path, document)
-    sidecar = out_dir / "switchoff.meta.json"
-    write_json_atomic(
-        sidecar,
-        {
-            **_metadata(device, args),
-            "roots_ghz": [angular_to_ghz(r) for r in result.roots],
-            "band_ghz": [angular_to_ghz(result.band[0]), angular_to_ghz(result.band[1])],
-        },
-    )
-    return [str(path), str(sidecar)]
+    write_json_atomic(out_dir / "switchoff.json", document)
+    return {
+        "roots_ghz": [angular_to_ghz(r) for r in result.roots],
+        "band_ghz": [angular_to_ghz(result.band[0]), angular_to_ghz(result.band[1])],
+        "outputs": ["switchoff.json"],
+    }
 
 
-def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
+def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> dict:
     from .crosstalk import zz_sweep
 
     axis = parse_axis(args.omega_c)
@@ -214,10 +201,14 @@ def _run_zz(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> Li
     result = zz_sweep(device, [ghz_to_angular(f) for f in f_values], anharm)
     header = ["omega_c_ghz", "xi2_khz", "xi3_khz", "xi4_khz", "xi_pert_khz", "xi_exact_khz"]
     units = dict.fromkeys(("xi2", "xi3", "xi4", "xi_pert", "xi_exact"), 1e6)
-    return _write_sweep(device, args, out_dir, header, [f_values], result, units)
+    # The device hash is that of the device run, --c12 override included.
+    return {
+        **_write_sweep(out_dir / "zz.csv", header, [f_values], result, units),
+        "device_hash": device_hash(device_to_dict(device)),
+    }
 
 
-def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
+def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> dict:
     from .dynamics import leakage_sweep
 
     amp_values = parse_axis(args.amp).values()
@@ -234,7 +225,7 @@ def _run_leakage(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) 
     header = ["amp_ghz", "n_cz", "p_comp", "p_leak", "channel"]
     units = dict.fromkeys(("p_comp", "p_leak", "channel"))
     axes = [amp_values, result.axes["n_cz"]]
-    return _write_sweep(device, args, out_dir, header, axes, result, units)
+    return _write_sweep(out_dir / "leakage.csv", header, axes, result, units)
 
 
 def _validate_checks(device: DeviceConfig) -> List[tuple]:
@@ -302,26 +293,27 @@ def _validate_checks(device: DeviceConfig) -> List[tuple]:
     return checks
 
 
-def _run_validate(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> List[str]:
+def _run_validate(device: DeviceConfig, args: argparse.Namespace, out_dir: Path) -> dict:
     checks = _validate_checks(device)
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} - {name}" + (f": {detail}" if detail else ""))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "validate.json"
     write_json_atomic(
-        path,
-        {
-            **_metadata(device, args),
-            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-        },
+        out_dir / "validate.json",
+        {"checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]},
     )
+    entries = {"outputs": ["validate.json"]}
     if not all(ok for _, ok, _ in checks):
-        raise _ValidationFailure("one or more invariant checks failed")
-    return [str(path)]
+        raise _ValidationFailure(entries)
+    return entries
 
 
 class _ValidationFailure(Exception):
-    pass
+    """A validate run with a failed check; `entries` are its metadata
+    entries, as a runner returns them."""
+
+    def __init__(self, entries: dict) -> None:
+        super().__init__("one or more invariant checks failed")
+        self.entries = entries
 
 
 _RUNNERS = {
@@ -345,11 +337,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         try:
-            outputs, status = _RUNNERS[args.subcommand](device, args, out_dir), 0
+            entries, status = _RUNNERS[args.subcommand](device, args, out_dir), 0
         except _ValidationFailure as exc:
             print(f"error: {exc}", file=sys.stderr)
-            outputs, status = [], 2
-        _write_manifest(args, out_dir, outputs, time.monotonic() - started)
+            entries, status = exc.entries, 2
+        flags = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("subcommand", "config", "out") and value is not None
+        }
+        write_sidecar(
+            out_dir / f"{args.subcommand}.meta.json",
+            {
+                "device_hash": device_hash(device_to_dict(device)),
+                "tool_version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "config": args.config,
+                "flags": flags,
+                **entries,
+                "duration_s": time.monotonic() - started,
+            },
+        )
     except (ConfigError, RegimeError, LabelingError) as exc:
         # ConfigError and RegimeError are ValueErrors, so they go first.
         print(f"error: {exc}", file=sys.stderr)
@@ -362,24 +370,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
     return status
-
-
-def _write_manifest(args, out_dir: Path, outputs: List[str], duration: float) -> None:
-    flags = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("subcommand", "config", "out") and value is not None
-    }
-    write_json_atomic(
-        out_dir / f"{args.subcommand}.manifest.json",
-        {
-            "config_path": str(args.config),
-            "subcommand": args.subcommand,
-            "flags": flags,
-            "output_paths": outputs,
-            "duration_s": duration,
-        },
-    )
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ computed two ways and cross-validated:
 * exact diagonalization of the excitation-conserving three-body
   Hamiltonian restricted to its N = 0, 1 and 2 excitation-number blocks
   (1, 3 and 6 bare |n1, nc, n2> states), which hold the four energies
-  exactly whatever the truncation, with dressed eigenstates labeled by
-  maximum overlap against the bare states inside each block.
+  exactly whatever the truncation: E(0,0,0) is the vacuum's diagonal
+  element, which couples to nothing, and the N = 1 and 2 blocks are
+  diagonalized, with dressed eigenstates labeled by maximum overlap
+  against the bare states inside each block.
 
 `zz_sweep` evaluates both over a whole coupler axis: the Hamiltonian on
 the states with at most two excitations is built as a stack of
@@ -361,9 +363,9 @@ def _block(n: int, wanted: Tuple[Label, ...]) -> Tuple[slice, Tuple[Label, ...],
     return slice(members[0], members[-1] + 1), wanted, rows
 
 
-# The blocks holding E(0,0,0), E(1,0,0)/E(0,0,1) and E(1,0,1), with the
-# labels wanted from each.
-_BLOCKS = (_block(0, ((0, 0, 0),)), _block(1, ((1, 0, 0), (0, 0, 1))), _block(2, ((1, 0, 1),)))
+# The blocks holding E(1,0,0)/E(0,0,1) and E(1,0,1), with the labels
+# wanted from each.  The vacuum, state 0, is a block of its own.
+_BLOCKS = (_block(1, ((1, 0, 0), (0, 0, 1))), _block(2, ((1, 0, 1),)))
 
 
 class _Axis(NamedTuple):
@@ -422,11 +424,11 @@ def _hamiltonians(axis: _Axis, shifts: Sequence[float]) -> np.ndarray:
 
 def _exact_over(axis: _Axis, delta_c_anharm: float) -> Tuple[np.ndarray, List[Optional[str]]]:
     """E(1,0,1) - E(1,0,0) - E(0,0,1) + E(0,0,0) at every point of the
-    axis, from one batched eigh per excitation-number block, and per
-    point the `LabelingError` message of the first failed guard (blocks
-    in order), or None."""
+    axis, E(0,0,0) read off the diagonal and the others from one batched
+    eigh per excitation-number block, and per point the `LabelingError`
+    message of the first failed guard (blocks in order), or None."""
     h = _hamiltonians(axis, coupler_shifts(delta_c_anharm, 3))
-    energies: List[np.ndarray] = []
+    energies: List[np.ndarray] = [h[:, 0, 0]]
     errors: List[Optional[str]] = [None] * len(axis.omega_c)
     for block, wanted, rows in _BLOCKS:
         evals, evecs = np.linalg.eigh(h[:, block, block])
@@ -482,8 +484,9 @@ def zz_exact(
     omega_c: float,
     delta_c_anharm: float = DEFAULT_COUPLER_ANHARM,
 ) -> float:
-    """ZZ shift from exact diagonalization of the N = 0, 1, 2 excitation
-    blocks: E(1,0,1) - E(1,0,0) - E(0,0,1) + E(0,0,0), rad/ns.
+    """ZZ shift from the vacuum energy and exact diagonalization of the
+    N = 1 and 2 excitation blocks: E(1,0,1) - E(1,0,0) - E(0,0,1) +
+    E(0,0,0), rad/ns.
 
     Matches the dense `build_hamiltonian` spectrum at any truncation of
     at least three levels per subsystem.  Raises `LabelingError` where

@@ -2,10 +2,10 @@
 
 Data files carry no timestamps and print floats with 9 significant
 digits (lowercase scientific outside [1e-4, 1e7)), so identical inputs
-produce byte-identical CSVs.  Each CSV has a JSON sidecar next to it
-that holds its header and the run metadata (device hash, tool version,
-timestamp, per-point errors), and a manifest is written after every
-run; both, like every JSON file, are written atomically.
+produce byte-identical files.  A run's metadata (device hash, tool
+version, timestamp, flags, per-point errors) goes into one
+`<subcommand>.meta.json` next to them, written by `write_sidecar`; it,
+like every JSON file, is written atomically.
 
 The CSV writer takes a table as a header plus one sequence per column,
 and writes the bytes that `format_cell` gives cell by cell.  A `Tiled`
@@ -175,11 +175,10 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
             handle.write("\n")
 
 
-def write_sidecar(path: Path, header: Sequence[str], metadata: dict) -> None:
-    """A CSV's JSON sidecar {"header", "metadata"}: its header and the
-    run metadata (timestamps allowed here), written by
-    `write_json_atomic`."""
-    write_json_atomic(path, {"header": list(header), "metadata": metadata})
+def write_sidecar(path: Path, metadata: dict) -> None:
+    """A run's metadata file: `metadata` as one flat JSON object
+    (timestamps allowed here), written by `write_json_atomic`."""
+    write_json_atomic(path, metadata)
 
 
 def write_json_atomic(path: Path, document: dict) -> None:

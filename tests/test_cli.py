@@ -1,5 +1,6 @@
 """Output formatting, sweep plumbing, and the command-line workflow."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import qcsim
+import qcsim.cli
 from qcsim import (
     DEFAULT_COUPLER_ANHARM,
     ConfigError,
@@ -156,11 +158,12 @@ def test_sidecar_bytes_match_indented_json(tmp_path, rows):
         "idle_ghz": 4.5,
         "errors": [{"row": 0, "omega_c_ghz": 4.0, "error": "pole \"x\""}, {"row": 3, "nested": {"b": [1, None], "a": math.nan}}],
     }
-    header, _ = _header_and_columns(rows)
+    # The table's columns, keyed by its header, as the cells to encode.
+    header, columns = _header_and_columns(rows)
+    metadata["flags"] = dict(zip(header, columns))
     path = tmp_path / "s.meta.json"
-    write_sidecar(path, header, metadata)
-    doc = {"metadata": metadata, "header": header}
-    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    write_sidecar(path, metadata)
+    assert path.read_bytes() == (json.dumps(metadata, indent=2, sort_keys=True) + "\n").encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["s.meta.json"]
 
 
@@ -216,40 +219,79 @@ def test_all_subcommands_produce_documented_headers(config_path, tmp_path, capsy
     assert printed == doc
 
 
-def test_sidecars_and_manifests(config_path, tmp_path):
+def test_meta_file_records_the_run(config_path, tmp_path):
     out = tmp_path / "out"
-    assert main(["modes", "--config", config_path, "--out", str(out), "--flux", "0:0.4:5"]) == 0
-    sidecar = json.loads((out / "modes.meta.json").read_text())
-    assert sidecar["metadata"]["tool_version"]
-    assert sidecar["metadata"]["device_hash"]
-    assert sidecar["metadata"]["errors"] == []
-    assert sidecar["header"] == HEADERS["modes.csv"].split(",")
-    manifest = json.loads((out / "modes.manifest.json").read_text())
-    assert manifest["subcommand"] == "modes"
-    assert str(out / "modes.csv") in manifest["output_paths"]
-    assert manifest["duration_s"] >= 0.0
-    # The atomic JSON writes get the CSV's umask mode and leave no
-    # temporary file behind.
-    for name in ("modes.manifest.json", "modes.meta.json"):
-        assert (out / name).stat().st_mode == (out / "modes.csv").stat().st_mode, name
-    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0:0.4:5"]
+    assert main(argv) == 0
+    meta = json.loads((out / "modes.meta.json").read_text())
+    assert meta["tool_version"] == qcsim.__version__
+    assert meta["device_hash"] == device_hash(device_to_dict(load_device(config_path)))
+    assert meta["config"] == config_path
+    assert meta["flags"] == {"flux": "0:0.4:5", "n_modes": 3}
+    assert meta["errors"] == []
+    assert meta["outputs"] == ["modes.csv"]
+    assert meta["duration_s"] >= 0.0
 
 
-def test_sweep_sidecars_hold_header_and_metadata_only(config_path, tmp_path):
-    # The data live in the CSV alone: each sweep's sidecar is its header
-    # plus the run metadata, and the atomic write leaves no temporary file.
+# The keys every meta file holds, and each subcommand's small run: its
+# flags, its data files and the keys its runner adds.
+_META_KEYS = {"device_hash", "tool_version", "timestamp", "config", "flags", "outputs", "duration_s"}
+_RUNS = {
+    "modes": (["--flux", "0:0.4:5"], ["modes.csv"], {"errors"}),
+    "coupling": (["--omega-c", "4.2:6.0:5"], ["coupling.csv"], {"errors"}),
+    "switchoff": ([], ["switchoff.json"], {"roots_ghz", "band_ghz"}),
+    "zz": (["--omega-c", "4.3:4.8:3"], ["zz.csv"], {"errors"}),
+    "leakage": (["--amp", "3.9:4.1:3", "--ncz", "1:3:3"], ["leakage.csv"], {"errors", "channel", "duration_ns"}),
+    "validate": ([], ["validate.json"], set()),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_RUNS))
+def test_run_writes_its_data_files_and_one_meta_file(config_path, tmp_path, subcommand):
+    # --out holds the data files and the meta file, no other file and no
+    # temporary file; the meta file has exactly its documented keys and
+    # the data files' mode, and two runs write the same data bytes.
+    argv, data, keys = _RUNS[subcommand]
+    meta_name = f"{subcommand}.meta.json"
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([subcommand, *argv, "--config", config_path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(data + [meta_name])
+    meta = json.loads((out / meta_name).read_text())
+    assert set(meta) == _META_KEYS | keys
+    assert meta["outputs"] == data
+    assert meta.get("errors", []) == []
+    for name in data:
+        assert (out / meta_name).stat().st_mode == (out / name).stat().st_mode, name
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_zz_meta_hashes_the_device_with_its_c12_override(config_path, tmp_path):
+    dev = load_device(config_path)
+    hashes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # c12 = 0.3 fF is outside the soft regime
+        overridden = dataclasses.replace(dev, caps=dataclasses.replace(dev.caps, c12=0.3))
+        for extra in ([], ["--c12", "0.3"]):
+            out = tmp_path / str(len(hashes))
+            assert main(["zz", "--omega-c", "4.3:4.8:3", *extra, "--config", config_path, "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "zz.meta.json").read_text())["device_hash"])
+    assert hashes == [device_hash(device_to_dict(dev)), device_hash(device_to_dict(overridden))]
+    assert hashes[0] != hashes[1]
+
+
+def test_failed_validate_writes_both_files_and_exits_2(config_path, tmp_path, capsys, monkeypatch):
+    checks = [("passing check", True, ""), ("failing check", False, "off by 1")]
+    monkeypatch.setattr(qcsim.cli, "_validate_checks", lambda device: checks)
     out = tmp_path / "out"
-    for argv in (
-        ["modes", "--flux", "0:0.4:5"],
-        ["coupling", "--omega-c", "4.2:6.0:5"],
-        ["zz", "--omega-c", "4.3:4.8:3"],
-        ["leakage", "--amp", "3.9:4.1:3", "--ncz", "1:3:3"],
-    ):
-        assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
-        sidecar = json.loads((out / f"{argv[0]}.meta.json").read_text())
-        assert set(sidecar) == {"header", "metadata"}, argv[0]
-        assert sidecar["header"] == HEADERS[f"{argv[0]}.csv"].split(",")
-    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert main(["validate", "--config", config_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["ok   - passing check", "FAIL - failing check: off by 1"]
+    assert captured.err == "error: one or more invariant checks failed\n"
+    assert json.loads((out / "validate.json").read_text()) == {
+        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]
+    }
+    assert json.loads((out / "validate.meta.json").read_text())["outputs"] == ["validate.json"]
 
 
 def _blank_mode_rows(errors, n_modes):
@@ -269,7 +311,7 @@ def test_per_point_errors_leave_axis_cells(config_path, tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     grid = [[format_float(f), str(m)] for f in parse_axis("0.4:0.6:5").values() for m in (1, 2, 3)]
     assert [row[:2] for row in rows] == grid
-    errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
+    errors = json.loads((out / "modes.meta.json").read_text())["errors"]
     assert errors
     assert [j for j, row in enumerate(rows) if row[2:] == [""] * 4] == _blank_mode_rows(errors, 3)
     assert "branch" in errors[-1]["error"] or "diverges" in errors[-1]["error"]
@@ -282,7 +324,7 @@ def test_modes_error_rows_index_their_blank_csv_rows(config_path, tmp_path):
     argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0.4:0.6:9", "--n-modes", "2"]
     assert main(argv) == 0
     rows = [line.split(",") for line in (out / "modes.csv").read_text().splitlines()[1:]]
-    errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
+    errors = json.loads((out / "modes.meta.json").read_text())["errors"]
     assert len(rows) == 9 * 2 and errors
     axis = parse_axis("0.4:0.6:9").values()
     for error in errors:
@@ -302,7 +344,7 @@ def test_error_rows_of_a_grid_longer_than_one_block(config_path, tmp_path):
     argv = ["modes", "--config", config_path, "--out", str(out), "--flux", "0:1:801", "--n-modes", "2"]
     assert main(argv) == 0
     rows = [line.split(",") for line in (out / "modes.csv").read_text().splitlines()[1:]]
-    errors = json.loads((out / "modes.meta.json").read_text())["metadata"]["errors"]
+    errors = json.loads((out / "modes.meta.json").read_text())["errors"]
     assert len(rows) == 801 * 2 and len(errors) > 100
     dev = load_device(config_path)
     expected = []
@@ -340,7 +382,7 @@ def test_leakage_has_no_idle_frequency(config_path, tmp_path):
     assert not out.exists()
     out = tmp_path / "out"
     assert main(["leakage", "--config", config_path, "--out", str(out)]) == 0
-    assert "idle_ghz" not in json.loads((out / "leakage.meta.json").read_text())["metadata"]
+    assert "idle_ghz" not in json.loads((out / "leakage.meta.json").read_text())
 
 
 def test_determinism_across_runs(config_path, tmp_path):
@@ -404,7 +446,7 @@ def test_zz_pole_blanks_only_perturbative_cells(config_path, tmp_path):
         assert rows[f][5] != ""
     # about 2.2e-3 rad/ns with the coupler parked on qubit 1
     assert float(rows["4"][5]) == pytest.approx(2.2e-3 / (2 * math.pi) * 1e6, rel=0.05)
-    errors = json.loads((out / "zz.meta.json").read_text())["metadata"]["errors"]
+    errors = json.loads((out / "zz.meta.json").read_text())["errors"]
     assert [(e["omega_c_ghz"], "pole" in e["error"]) for e in errors] == [(4.0, True), (4.1, True)]
 
 
@@ -421,7 +463,7 @@ def test_zz_failed_points_stay_local(degenerate_device, tmp_path):
         warnings.simplefilter("ignore")  # the device is outside the soft regime
         assert main(["zz", "--omega-c", "3.9:4.3:9", "--config", str(cfg), "--out", str(out)]) == 0
     rows = [line.split(",") for line in (out / "zz.csv").read_text().splitlines()[1:]]
-    errors = json.loads((out / "zz.meta.json").read_text())["metadata"]["errors"]
+    errors = json.loads((out / "zz.meta.json").read_text())["errors"]
     assert [(e["row"], e["omega_c_ghz"]) for e in errors] == list(enumerate(axis))
     labeling = []
     for f, row, error in zip(axis, rows, errors):
@@ -470,9 +512,9 @@ def test_coupling_sweep_continues_across_resonances(config_path, tmp_path):
     lines = (out / "coupling.csv").read_text().splitlines()
     empties = [line for line in lines[1:] if line.endswith(",,,,")]
     assert len(empties) == 2  # 4.0 and 4.1
-    sidecar = json.loads((out / "coupling.meta.json").read_text())
-    assert len(sidecar["metadata"]["errors"]) == 2
-    assert all("resonant" in e["error"] for e in sidecar["metadata"]["errors"])
+    errors = json.loads((out / "coupling.meta.json").read_text())["errors"]
+    assert len(errors) == 2
+    assert all("resonant" in e["error"] for e in errors)
 
 
 def test_config_errors_exit_2(config_path, tmp_path, capsys):
@@ -607,9 +649,9 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
         shared, fresh = tmp_path / "shared" / str(i), tmp_path / "fresh" / str(i)
         name = argv[0]
         assert (shared / f"{name}.csv").read_bytes() == (fresh / f"{name}.csv").read_bytes()
-        manifests = [json.loads((d / f"{name}.manifest.json").read_text()) for d in (shared, fresh)]
-        assert manifests[0]["flags"] == manifests[1]["flags"]
-        flags.append(manifests[0]["flags"])
+        metas = [json.loads((d / f"{name}.meta.json").read_text()) for d in (shared, fresh)]
+        assert metas[0]["flags"] == metas[1]["flags"]
+        flags.append(metas[0]["flags"])
     assert flags[0]["c12"] == 0.03 and "c12" not in flags[1]
     assert flags[2]["duration_ns"] == 33.3 and flags[3]["duration_ns"] == 40.0
     assert not {"c12", "omega_c", "anharm_mhz"} & set(flags[3])

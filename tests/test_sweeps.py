@@ -1,8 +1,7 @@
-"""The CSV writer's column formatter, and the sweep files written, against
-the per-cell oracles they replace: format_cell for the CSV, json.dumps
-for the sidecar."""
+"""The CSV writer's column formatter, and the sweep CSV written, against
+the per-cell oracle they replace, format_cell; and the atomic JSON
+writer."""
 
-import argparse
 import itertools
 import json
 import math
@@ -83,11 +82,12 @@ def sweep_tables(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(sweep_tables())
-def test_sweep_files_match_per_cell_oracles(device, table):
-    # `_write_sweep`'s CSV and sidecar across several write blocks,
-    # against the grid's rows materialised in full and written cell by
-    # cell: every grid point is one row, failed or not, and each error
-    # names its row and that row's outer-axis value.
+def test_sweep_files_match_per_cell_oracles(table):
+    # `_write_sweep`'s CSV across several write blocks, against the
+    # grid's rows materialised in full and written cell by cell: every
+    # grid point is one row, failed or not.  The entries it returns for
+    # the meta file name each error's row and that row's outer-axis
+    # value, and the CSV it wrote.
     axes, results, failed = table
     header = [f"a{k}" for k in range(len(axes))] + [f"r{j}" for j in range(len(results))]
     grid = list(itertools.product(*axes))
@@ -99,18 +99,15 @@ def test_sweep_files_match_per_cell_oracles(device, table):
         columns={f"r{j}": column for j, column in enumerate(results)},
         metadata={"errors": [{"row": r, "library_axis": r, "error": f"point {r}"} for r in failed]},
     )
-    args = argparse.Namespace(subcommand="sweep", config="device.json")
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sweeps, "_BLOCK_ROWS", 7):
         out = Path(tmp)
         units = dict.fromkeys(result.columns)
-        _write_sweep(device, args, out, header, axes, result, units)
+        entries = _write_sweep(out / "sweep.csv", header, axes, result, units)
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
         csv = (out / "sweep.csv").read_bytes()
-        sidecar = (out / "sweep.meta.json").read_bytes()
     lines = [header] + [[format_cell(cell) for cell in row] for row in rows]
     assert csv == "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
-    metadata = {**json.loads(sidecar)["metadata"], "errors": errors}
-    doc = {"header": header, "metadata": metadata}
-    assert sidecar == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert entries == {"errors": errors, "outputs": ["sweep.csv"]}
 
 
 def test_write_json_atomic_leaves_nothing_on_failure(tmp_path):
