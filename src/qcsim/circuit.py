@@ -142,7 +142,7 @@ class QubitParams:
                 f"qubit EJ/EC = {ratio:.1f} below {TRANSMON_RATIO_SOFT}; "
                 "transmon approximation is getting marginal",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @classmethod
@@ -178,14 +178,14 @@ class CouplingCaps:
                 f"caps.cc/{'c1c' if self.c1c >= self.c2c else 'c2c'} = "
                 f"{self.cc / small:.1f} < 50; lumped coupler model degrades",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.c1c / self.c12 < 5.0:
             warnings.warn(
                 f"caps.c1c/c12 = {self.c1c / self.c12:.1f} < 5; direct coupling "
                 "is not small against the mediated one",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -8,8 +8,8 @@ timestamp-free.  `main` then writes the run's one metadata file,
 `<subcommand>.meta.json`: a flat JSON object with device_hash,
 tool_version, timestamp, config, flags (the subcommand's own options),
 outputs (the data files' names in --out) and duration_s, plus the
-runner's own entries: a sweep's per-point errors, leakage's channel and
-duration_ns, switchoff's roots_ghz and band_ghz.  A run stopped by an
+runner's own entries: a sweep's per-point errors, switchoff's roots_ghz
+and band_ghz.  A run stopped by an
 error writes no metadata file; a validate run whose checks fail writes
 both files and exits 2.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -97,8 +98,10 @@ def leakage_sweep(
     Grid axes are the in-pulse coupler frequency `amp` (rad/ns, as
     given) and the gate count; the initial state is the computational
     state of the selected channel.  Row-major: amplitude outer, count
-    inner.  The metadata records the channel and the pulse duration
-    (ns).
+    inner.  The p_comp and p_leak columns are `array("d")` buffers copied
+    from the numpy results: their cells are Python floats, and the CSV
+    writer prints a table of such columns with its numpy kernel.  The
+    metadata is empty: the caller passed the channel and duration in.
     """
     if channel not in ("single", "double"):
         raise ValueError(f"channel must be 'single' or 'double', got {channel!r}")
@@ -129,12 +132,12 @@ def leakage_sweep(
             "amp": tuple(amplitudes),
             "n_cz": tuple(float(n) for n in ncz_values),
         },
-        columns={
-            "p_comp": tuple(p_comp.ravel().tolist()),
-            "p_leak": tuple(p_leak.ravel().tolist()),
-        },
-        metadata={
-            "channel": channel,
-            "duration_ns": duration,
-        },
+        columns={"p_comp": _float64_column(p_comp), "p_leak": _float64_column(p_leak)},
     )
+
+
+def _float64_column(values: np.ndarray) -> array:
+    """A float64 array's cells, row-major, as one `array("d")`."""
+    column = array("d")
+    column.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.float64)).cast("B"))
+    return column

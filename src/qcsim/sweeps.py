@@ -13,8 +13,11 @@ column, such as a grid axis or a constant label, has each of its values
 formatted once and those texts repeated down it.  Any other column is
 formatted a block of rows at a time, by `format_float` for a cell of
 type float and `format_cell` for any other cell.  Rows are joined and
-written a block at a time.  The module runs on the standard library
-alone.
+written a block at a time.  A nonempty table of `Tiled` and
+`array("d")` columns, at least one of the latter, goes instead to the
+numpy kernel in `csvkernel`, which writes the same bytes; this module
+imports it on that branch only, so every other table is written with
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+from array import array
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -160,6 +164,13 @@ def _csv_blocks(column: Sequence) -> Iterator[List[str]]:
     return (_csv_texts(column[start : start + _BLOCK_ROWS]) for start in starts)
 
 
+def _float64_table(columns: Sequence[Sequence]) -> bool:
+    """Whether every column is a `Tiled` or an `array("d")` column, and
+    at least one the latter: the tables the numpy kernel writes."""
+    floats = [type(column) is array and column.typecode == "d" for column in columns]
+    return any(floats) and all(f or isinstance(c, Tiled) for f, c in zip(floats, columns))
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """UTF-8, LF line endings, exactly the given header, then one line per
     row of the equally long `columns` (one per header name)."""
@@ -168,6 +179,13 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    if lengths != {0} and _float64_table(columns):
+        from .csvkernel import write_rows
+
+        with path.open("wb") as handle:
+            handle.write((",".join(header) + "\n").encode("utf-8"))
+            write_rows(handle, columns)
+        return
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for block in zip(*map(_csv_blocks, columns)):

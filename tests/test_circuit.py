@@ -258,6 +258,20 @@ def test_caps_warnings():
         CouplingCaps(c12=0.06, c1c=20.0, c2c=1.0, cc=780.0)
 
 
+def test_regime_warnings_name_the_constructors_caller():
+    # Not the __init__ that the dataclass generates, which has no file
+    # and printed as "<string>:7".
+    e_c = charging_energy(100.0)
+    for build, match in [
+        (lambda: CouplingCaps(c12=1.0, c1c=2.0, c2c=1.0, cc=780.0), "c1c/c12"),
+        (lambda: CouplingCaps(c12=0.06, c1c=20.0, c2c=1.0, cc=780.0), "cc"),
+        (lambda: QubitParams(c_total=100.0, ej=40.0 * e_c), "EJ/EC"),
+    ]:
+        with pytest.warns(RegimeWarning, match=match) as record:
+            build()
+        assert [w.filename for w in record] == [__file__], match
+
+
 # --- JSON schema ---------------------------------------------------------
 
 

@@ -37,7 +37,7 @@ from qcsim import (
 )
 from qcsim.cli import _build_parser, main
 from qcsim.constants import TWO_PI
-from qcsim.sweeps import AxisSpec, device_hash, format_cell, map_points, write_csv, write_sidecar
+from qcsim.sweeps import AxisSpec, Tiled, device_hash, format_cell, map_points, write_csv, write_sidecar
 
 HEADERS = {
     "modes.csv": "flux,mode,kl,freq_ghz,lambda,anharm_mhz",
@@ -241,7 +241,7 @@ _RUNS = {
     "coupling": (["--omega-c", "4.2:6.0:5"], ["coupling.csv"], {"errors"}),
     "switchoff": ([], ["switchoff.json"], {"roots_ghz", "band_ghz"}),
     "zz": (["--omega-c", "4.3:4.8:3"], ["zz.csv"], {"errors"}),
-    "leakage": (["--amp", "3.9:4.1:3", "--ncz", "1:3:3"], ["leakage.csv"], {"errors", "channel", "duration_ns"}),
+    "leakage": (["--amp", "3.9:4.1:3", "--ncz", "1:3:3"], ["leakage.csv"], {"errors"}),
     "validate": ([], ["validate.json"], set()),
 }
 
@@ -754,6 +754,30 @@ def test_leakage_csv_matches_pointwise_oracle(config_path, tmp_path, pointwise_l
     columns = leakage_sweep(dev, amps, counts, channel=channel, duration=40.0).columns
     assert list(columns["p_comp"]) == pytest.approx(comp, rel=0, abs=1e-14)
     assert list(columns["p_leak"]) == pytest.approx(leak, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("channel", ["single", "double"])
+def test_leakage_csv_matches_the_per_cell_writer(device, benchmark_like_device, tmp_path, channel):
+    # The CSV that the numpy kernel writes, at a duration other than the
+    # default, against the per-cell writer given the same columns as
+    # tuples.
+    dev = benchmark_like_device(device, 7)
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps(device_to_dict(dev)), encoding="utf-8")
+    argv = ["leakage", "--amp", "3.9:4.3:201", "--ncz", "1:100:100", "--duration-ns", "17.3", "--channel", channel]
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    amps_ghz = parse_axis("3.9:4.3:201").values()
+    result = leakage_sweep(dev, [ghz_to_angular(a) for a in amps_ghz], list(range(1, 101)), channel, 17.3)
+    n = result.n_points
+    columns = [
+        Tiled(amps_ghz, 100, n),
+        Tiled(result.axes["n_cz"], 1, n),
+        tuple(result.columns["p_comp"]),
+        tuple(result.columns["p_leak"]),
+        Tiled([channel], n, n),
+    ]
+    write_csv(tmp_path / "cells.csv", HEADERS["leakage.csv"].split(","), columns)
+    assert (tmp_path / "out" / "leakage.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_sweep_csvs_match_per_cell_oracle(device, benchmark_like_device, tmp_path):

@@ -1,11 +1,17 @@
-"""The CSV writer's column formatter, and the sweep CSV written, against
-the per-cell oracle they replace, format_cell; and the atomic JSON
-writer."""
+"""The CSV writer's column formatter, its numpy kernel, and the sweep CSV
+written, against the per-cell oracle they replace, format_cell; and the
+atomic JSON writer."""
 
+import io
 import itertools
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 import tempfile
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -14,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsim import sweeps
+import qcsim
+from qcsim import csvkernel, sweeps
 from qcsim.cli import _write_sweep
-from qcsim.sweeps import SweepResult, Tiled, format_cell, write_json_atomic
+from qcsim.sweeps import SweepResult, Tiled, format_cell, format_float, write_csv, write_json_atomic
 
 # The edges of format_float's fixed-point range and the values just
 # inside it, signed zeros and the non-finite values.
@@ -108,6 +115,126 @@ def test_sweep_files_match_per_cell_oracles(table):
     lines = [header] + [[format_cell(cell) for cell in row] for row in rows]
     assert csv == "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
     assert entries == {"errors": errors, "outputs": ["sweep.csv"]}
+
+
+def _kernel_lines(values):
+    """The kernel's text of each float of `values`, one per line."""
+    buffer = io.BytesIO()
+    csvkernel.write_rows(buffer, [array("d", values)])
+    return buffer.getvalue().decode("utf-8").split("\n")[:-1]
+
+
+# The edges of format_float's fixed-point range with their neighbours,
+# mantissas that round up to 10 at the tenth digit, exact binary ties at
+# the tenth digit, doubles whose scaled mantissa rounds to a tie that
+# the exact value is not at, and the extreme doubles.
+KERNEL_EDGES = [
+    *(float(np.nextafter(v, to)) for v in (1e-4, 1e7) for to in (0.0, v, math.inf)),
+    9999999.995, 0.0000999999999995, 0.9999999995,
+    1234567.125, 100000000.5, 100000001.5,
+    34563156.45, 79744.48555, 3.254372595e-24,
+    5e-324, 1.7976931348623157e308,
+]  # fmt: skip
+
+
+def test_kernel_prints_its_edge_cases_as_format_float():
+    values = KERNEL_EDGES + [-v for v in KERNEL_EDGES]
+    assert _kernel_lines(values) == [format_float(v) for v in values]
+
+
+# Raw 64-bit patterns reach every exponent, subnormals and NaN payloads;
+# the sampled ones are +-0, +-inf, a quiet and a signalling NaN.
+BIT_PATTERNS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 2**63, 0x7FF0 << 48, 0xFFF0 << 48, (0x7FF8 << 48) + 1, (0x7FF0 << 48) + 1]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(BIT_PATTERNS, min_size=1, max_size=40))
+def test_kernel_matches_format_float_on_raw_bit_patterns(bits):
+    values = list(struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits)))
+    with mock.patch.object(csvkernel, "_BLOCK_ROWS", 7):
+        assert _kernel_lines(values) == [format_float(v) for v in values]
+
+
+@st.composite
+def float64_tables(draw):
+    """Tables the kernel writes: `array("d")` and `Tiled` columns of any
+    cells, at least one of the former."""
+    n = draw(st.integers(1, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(array("d", draw(st.lists(FLOATS, min_size=n, max_size=n))))
+        else:
+            values = draw(st.lists(CELLS, min_size=1, max_size=5))
+            columns.append(Tiled(values, draw(st.integers(1, 5)), n))
+    columns.insert(draw(st.integers(0, len(columns))), array("d", draw(st.lists(FLOATS, min_size=n, max_size=n))))
+    return columns
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(float64_tables())
+def test_float64_tables_match_the_per_cell_path(columns):
+    # The same table written by the kernel and, as lists, cell by cell.
+    header = [f"c{j}" for j in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvkernel, "_BLOCK_ROWS", 7):
+        kernel, cells = Path(tmp) / "kernel.csv", Path(tmp) / "cells.csv"
+        with mock.patch.object(csvkernel, "write_rows", wraps=csvkernel.write_rows) as spy:
+            write_csv(kernel, header, columns)
+            write_csv(cells, header, [list(column) for column in columns])
+        assert spy.call_count == 1
+        assert kernel.read_bytes() == cells.read_bytes()
+
+
+# Tables that take the per-cell path, and the cells it prints.
+_PER_CELL_TABLES = {
+    "array_beside_none": [array("d", [0.5, 1e-9, -3.0]), [None, 2.5, "x"]],
+    "array_beside_str": [array("d", [0.5, 1e-9, -3.0]), "abc"],
+    "zero_rows": [array("d"), Tiled([1.0], 1, 0)],
+    "tiled_only": [Tiled([0.25, "a"], 2, 5), Tiled([None], 5, 5)],
+}
+_PER_CELL_SCRIPT = """
+import sys
+from array import array
+from pathlib import Path
+from qcsim.sweeps import Tiled, write_csv
+numpy_loaded = "numpy" in sys.modules
+for name, columns in {tables}.items():
+    write_csv(Path(sys.argv[1]) / f"{{name}}.csv", [f"c{{j}}" for j in range(len(columns))], columns)
+assert numpy_loaded or "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def _column_source(column) -> str:
+    """Python source that rebuilds a column of _PER_CELL_TABLES."""
+    if isinstance(column, Tiled):
+        return f"Tiled({list(column.values)!r}, {column.inner}, {len(column)})"
+    if isinstance(column, array):
+        return f"array('d', {list(column)!r})"
+    return repr(column)
+
+
+def test_other_tables_take_the_per_cell_path(tmp_path):
+    # In a fresh process, which has not loaded numpy: its bytes, and
+    # numpy still not loaded.
+    tables = "{" + ", ".join(
+        f"{name!r}: [{', '.join(_column_source(c) for c in columns)}]" for name, columns in _PER_CELL_TABLES.items()
+    ) + "}"
+    src = str(Path(qcsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PER_CELL_SCRIPT.format(tables=tables), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    for name, columns in _PER_CELL_TABLES.items():
+        rows = [[f"c{j}" for j in range(len(columns))]] + [
+            [format_cell(cell) for cell in row] for row in zip(*map(_cells, columns))
+        ]
+        want = "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
+        assert (tmp_path / f"{name}.csv").read_bytes() == want, name
 
 
 def test_write_json_atomic_leaves_nothing_on_failure(tmp_path):
