@@ -386,9 +386,12 @@ def device_to_dict(device: DeviceConfig) -> dict:
     return document
 
 
-def load_device(path) -> DeviceConfig:
+def load_device(path, overrides=None) -> DeviceConfig:
     """Read and validate a device config from a JSON file.  A key given
-    twice in one object is an error, not a silent overwrite."""
+    twice in one object is an error, not a silent overwrite.  Each
+    `(section, field): value` of `overrides` is written into the document
+    before it is read, so it is checked as the file is; one whose section
+    is missing or not an object is skipped, for the reader to report."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
 
@@ -406,4 +409,7 @@ def load_device(path) -> DeviceConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    for (name, key), value in (overrides or {}).items():
+        if isinstance(data, dict) and isinstance(data.get(name), dict):
+            data[name][key] = value
     return device_from_dict(data)

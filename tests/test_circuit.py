@@ -1,7 +1,9 @@
 """Parameter containers, derived energies, and the strict JSON schema."""
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qcsim import (
     device_to_dict,
     ej_for_frequency,
     flux_factor,
+    load_device,
     qubit_spectrum,
 )
 from qcsim.constants import TWO_PI
@@ -341,6 +344,18 @@ def test_duplicate_key_is_an_error(config_path, tmp_path, capsys):
     assert str(raised.value) == f"{path}: duplicate key 'c12'"
     assert main(["switchoff", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {path}: duplicate key 'c12'\n"
+
+
+def test_override_is_read_as_the_documents_own_field(config_path):
+    # An override gives the device that replacing the field would, and
+    # the reader's key check still applies to it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # c12 = 0.3 fF is outside the soft regime
+        dev = load_device(config_path)
+        replaced = dataclasses.replace(dev, caps=dataclasses.replace(dev.caps, c12=0.3))
+        assert device_to_dict(load_device(config_path, {("caps", "c12"): 0.3})) == device_to_dict(replaced)
+    with pytest.raises(ConfigError, match="unknown key 'bogus' in caps"):
+        load_device(config_path, {("caps", "bogus"): 1.0})
 
 
 def test_round_trip_serialization():

@@ -280,6 +280,37 @@ def test_zz_meta_hashes_the_device_with_its_c12_override(config_path, tmp_path):
     assert hashes[0] != hashes[1]
 
 
+def test_c12_override_warns_from_the_config_reader(config_path, tmp_path):
+    # The override is read as the document's own field, so its regime
+    # warning points into the package, not at dataclasses.replace.
+    argv = ["zz", "--c12", "0.3", "--omega-c", "4.3:4.8:3", "--config", config_path, "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    regime = [w for w in record if issubclass(w.category, qcsim.RegimeWarning)]
+    assert regime and "c1c/c12" in str(regime[0].message)
+    package = Path(qcsim.__file__).resolve().parent
+    assert all(Path(w.filename).resolve().is_relative_to(package) for w in regime), [w.filename for w in regime]
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (lambda doc: {k: v for k, v in doc.items() if k != "caps"}, "missing section 'caps' in device"),
+        (lambda doc: {**doc, "caps": [0.06]}, "caps: expected an object, got list"),
+        (lambda doc: [doc], "device: expected an object, got list"),
+    ],
+    ids=["no-caps", "caps-list", "top-level-list"],
+)
+def test_c12_override_on_a_config_without_caps_exits_2(config_path, tmp_path, capsys, document, message):
+    cfg = tmp_path / "device.json"
+    cfg.write_text(json.dumps(document(json.loads(Path(config_path).read_text()))))
+    argv = ["zz", "--c12", "0.3", "--omega-c", "4.3:4.8:3", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_failed_validate_writes_both_files_and_exits_2(config_path, tmp_path, capsys, monkeypatch):
     checks = [("passing check", True, ""), ("failing check", False, "off by 1")]
     monkeypatch.setattr(qcsim.cli, "_validate_checks", lambda device: checks)
@@ -497,9 +528,11 @@ def test_zz_failed_points_stay_local(degenerate_device, tmp_path):
 
 def test_validate_passes_on_reference_config(config_path, tmp_path, capsys):
     assert main(["validate", "--config", config_path, "--out", str(tmp_path / "v")]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5
-    assert all(line.startswith("ok  ") for line in lines)
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   - analytic-approximation consistency",
+        "ok   - mediated-coupling identity",
+        "ok   - perturbative vs exact crosstalk",
+    ]
 
 
 def test_coupling_sweep_continues_across_resonances(config_path, tmp_path):
@@ -571,6 +604,13 @@ def test_non_finite_c12_override_exits_2(config_path, tmp_path, capsys, value):
     argv = ["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:4.8:3"]
     assert main(argv + ["--c12", value]) == 2
     assert "caps.c12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_c12_override_is_reported_as_the_configs_field(config_path, tmp_path, capsys, value):
+    argv = ["zz", "--config", config_path, "--out", str(tmp_path), "--omega-c", "4.3:4.8:3", "--c12", value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: caps.c12: expected a finite number, got {value}\n"
 
 
 def test_fatal_regime_error_exits_2(config_path, tmp_path, capsys):
@@ -658,12 +698,15 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(config_path, tmp_path
     assert not (tmp_path / "bad").exists()
 
 
-# Tables longer than one write block, with their CSVs' SHA-256.  The
-# last runs past the flux branches' end, so about half its points fail.
+# Tables longer than one write block, then the two numpy-free defaults,
+# with their CSVs' SHA-256.  The third runs past the flux branches' end,
+# so about half its points fail.
 _LONG_TABLE_SHA256 = {
     ("modes", "--flux", "0:0.45:401", "--n-modes", "3"): "21c2e95d9829869a58c63c5055b14185ad3e6a6efe34afdd25edc784c4fe7235",
     ("coupling", "--omega-c", "4.2:6.0:1801"): "85e663b13e88103d0890465ba7fba1f31e342a9434a1c3e481830b59439c3554",
     ("modes", "--flux", "0:1:801", "--n-modes", "2"): "bc5ea5f4a3a312f864f76beb49c379cb629551916f5c85513808e14f29730269",
+    ("modes",): "50ec411c1864a4fd6701a4b877b51908e91e3f3e84e6d709d7f2002acff5741b",
+    ("coupling",): "3ca78d3316f7740836d70e358f3d980587006af2b397a51fa420d8364d0a0cd7",
 }
 _LONG_TABLES = [list(argv) for argv in _LONG_TABLE_SHA256]
 
@@ -702,8 +745,8 @@ def test_switchoff_process_never_imports_numpy(config_path, tmp_path):
 
 
 def test_long_tables_and_switch_off_are_pinned(config_path, tmp_path):
-    # The bytes of the modes and coupling tables that span several write
-    # blocks, and the switch-off values as written.  The search's
+    # The bytes of the modes and coupling tables, at their defaults and
+    # spanning several write blocks, and the switch-off values as written.  The search's
     # residual is left out: it is bisection noise on a grid that depends
     # on the libm-computed band top.
     for argv, digest in _LONG_TABLE_SHA256.items():
