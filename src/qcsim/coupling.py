@@ -9,9 +9,11 @@ plus the resonator-mediated term
 
     (wc/8) * (1/D1 + 1/D2 - 1/S1 - 1/S2) * C1c*C2c/(Cc*sqrt(C1*C2)) * sqrt(w1*w2)
 
-with D_j = w_j - wc and S_j = w_j + wc.  Above both qubit frequencies
-the mediated term is negative and cancels the direct one at a single
-frequency, the switch-off point.
+with D_j = w_j - wc and S_j = w_j + wc.  Below both qubit frequencies
+each 1/D_j - 1/S_j = 2*wc/(w_j^2 - wc^2) is positive, so g_eff > g12 > 0
+there and the coupling cannot be switched off.  Above both qubit
+frequencies the mediated term is negative and cancels the direct one at
+a single frequency, the switch-off point.
 
 `effective_coupling` evaluates one coupler frequency and `coupling_sweep`
 a whole axis of them, point by point; both run one formula body, so they
@@ -90,19 +92,20 @@ _FIELDS = CouplingReport._fields[1:]
 
 
 def _report_fields(k: CouplingConstants, omega_c: float) -> tuple:
-    """The `_FIELDS` values at `omega_c` from the device's constants."""
-    w1, w2, g12 = k.w1, k.w2, k.g12
+    """The `CouplingReport` field values at `omega_c`, omega_c first,
+    from the device's constants."""
+    w1, w2, sqrt_w12, g12, scale1, scale2, cap_ratio = k
     d1, d2 = w1 - omega_c, w2 - omega_c
     s1, s2 = w1 + omega_c, w2 + omega_c
-    g1c = k.scale1 * math.sqrt(w1 * omega_c)
-    g2c = k.scale2 * math.sqrt(w2 * omega_c)
-    mediated = omega_c / 8.0 * (1.0 / d1 + 1.0 / d2 - 1.0 / s1 - 1.0 / s2) * k.cap_ratio * k.sqrt_w12
-    mediated_rwa = 0.5 * g1c * g2c * (1.0 / d1 + 1.0 / d2)
-    dressed1 = w1 + g1c * g1c * (1.0 / d1 - 1.0 / s1)
-    dressed2 = w2 + g2c * g2c * (1.0 / d2 - 1.0 / s2)
-    guard1, guard2 = abs(g1c / d1), abs(g2c / d2)
-    return (g12, g1c, g2c, g12 + mediated, dressed1, dressed2, d1, d2, s1, s2, g12, mediated,
-            mediated_rwa, guard1, guard2)
+    inv_d1, inv_d2, inv_s1, inv_s2 = 1.0 / d1, 1.0 / d2, 1.0 / s1, 1.0 / s2
+    g1c = scale1 * math.sqrt(w1 * omega_c)
+    g2c = scale2 * math.sqrt(w2 * omega_c)
+    rwa_sum = inv_d1 + inv_d2
+    mediated = omega_c / 8.0 * (rwa_sum - inv_s1 - inv_s2) * cap_ratio * sqrt_w12
+    dressed1 = w1 + g1c * g1c * (inv_d1 - inv_s1)
+    dressed2 = w2 + g2c * g2c * (inv_d2 - inv_s2)
+    return (omega_c, g12, g1c, g2c, g12 + mediated, dressed1, dressed2, d1, d2, s1, s2, g12, mediated,
+            0.5 * g1c * g2c * rwa_sum, abs(g1c / d1), abs(g2c / d2))
 
 
 def _resonance_error(omega_c: float) -> str:
@@ -119,9 +122,11 @@ def effective_coupling(device: DeviceConfig, omega_c: float) -> CouplingReport:
     k = device.coupling_constants
     if omega_c == k.w1 or omega_c == k.w2:
         raise RegimeError(_resonance_error(omega_c))
-    report = CouplingReport(omega_c, *_report_fields(k, omega_c))
-    guard = max(report.guard1, report.guard2)
-    if guard > DISPERSIVE_GUARD:
+    # From one tuple: NamedTuple's generated __new__ takes the 16 fields
+    # as arguments, which costs about as much as the arithmetic.
+    report = tuple.__new__(CouplingReport, _report_fields(k, omega_c))
+    if report.guard1 > DISPERSIVE_GUARD or report.guard2 > DISPERSIVE_GUARD:
+        guard = max(report.guard1, report.guard2)
         warnings.warn(
             f"dispersive guard |g_jc/D_j| = {guard:.3f} > "
             f"{DISPERSIVE_GUARD} at omega_c = {omega_c:.4f} rad/ns",
@@ -150,13 +155,13 @@ def coupling_sweep(device: DeviceConfig, omega_c: Sequence[float]) -> SweepResul
     rows, errors = [], []
     for row, value in enumerate(values):
         if value == k.w1 or value == k.w2:
-            rows.append((None,) * len(_FIELDS))
+            rows.append((value,) + (None,) * len(_FIELDS))
             errors.append({"row": row, "omega_c": value, "error": _resonance_error(value)})
         else:
             rows.append(_report_fields(k, value))
     return SweepResult(
         axes={"omega_c": tuple(values)},
-        columns=dict(zip(_FIELDS, zip(*rows))),
+        columns=dict(zip(_FIELDS, list(zip(*rows))[1:])),
         metadata={"errors": errors},
     )
 
@@ -175,8 +180,7 @@ class SwitchOffResult:
     band: Tuple[float, float]
 
 
-_SEARCH_BELOW = 2.0 * math.pi * 1.5  # how far below the lower qubit to search
-_MARGIN = 2.0 * math.pi * 1e-3  # keep 1 MHz clear of the resonance poles
+_MARGIN = 2.0 * math.pi * 1e-3  # keep 1 MHz clear of the resonance pole
 _GRID = 512
 
 
@@ -197,60 +201,53 @@ def _bisect_root(device: DeviceConfig, lo: float, hi: float) -> float:
 def switch_off(device: DeviceConfig) -> SwitchOffResult:
     """Locate the coupler frequency where g_eff crosses zero.
 
-    Scans the band below the lower qubit frequency and the band between
-    the upper qubit frequency and the top of the flux-tuning range, both
-    kept clear of the resonance poles; each sign change is refined by
-    bisection to 1e-9 rad/ns.  Roots inside the achievable flux band are
-    preferred, ties broken by the smaller dispersive guard.
+    Scans the one band that can hold the root: from 1 MHz above the
+    upper qubit frequency to the top of the flux-tuning range, on a
+    512-step grid, and refines a sign change by bisection to 1e-9
+    rad/ns.  Below the lower qubit g_eff > g12 > 0 (module docstring).
+    g_eff*(w1^2 - wc^2)*(w2^2 - wc^2) is a quadratic in wc^2 with one
+    root between the qubits, so the band holds at most the other one.
+    `flux_off` is None when the root lies below the achievable band.
     """
     k = device.coupling_constants
-    w_lo, w_hi = min(k.w1, k.w2), max(k.w1, k.w2)
+    w_hi = max(k.w1, k.w2)
     band = tuning_band(device)
-
-    branches = [
-        (max(w_lo - _SEARCH_BELOW, _MARGIN), w_lo - _MARGIN),
-        (w_hi + _MARGIN, band[1]),
-    ]
+    lo, hi = w_hi + _MARGIN, band[1]
+    if hi <= lo:
+        raise RegimeError(
+            f"g_eff does not change sign: the tuning band's top {hi:.4f} is not above "
+            f"the upper qubit frequency {w_hi:.4f} + 1 MHz, so there is no band to search"
+        )
     roots: List[float] = []
-    endpoint_info = []
-    # The scan and its bisections deliberately sweep past the resonance
-    # poles; the dispersive guard is reported once, at the returned root.
+    # The scan and its bisection deliberately run up to the resonance
+    # pole; the dispersive guard is reported once, at the returned root.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        for lo, hi in branches:
-            if hi <= lo:
-                continue
-            step = (hi - lo) / _GRID
-            prev_x = lo
-            prev_f = effective_coupling(device, prev_x).g_eff
-            endpoint_info.append((lo, prev_f))
-            for i in range(1, _GRID + 1):
-                x = lo + i * step
-                f = effective_coupling(device, x).g_eff
-                if f == 0.0:
-                    roots.append(x)
-                elif (f < 0.0) != (prev_f < 0.0):
-                    roots.append(_bisect_root(device, prev_x, x))
-                prev_x, prev_f = x, f
-            endpoint_info.append((hi, prev_f))
+        step = (hi - lo) / _GRID
+        prev_x = lo
+        prev_f = f_lo = effective_coupling(device, prev_x).g_eff
+        for i in range(1, _GRID + 1):
+            x = lo + i * step
+            f = effective_coupling(device, x).g_eff
+            if f == 0.0:
+                roots.append(x)
+            elif (f < 0.0) != (prev_f < 0.0):
+                roots.append(_bisect_root(device, prev_x, x))
+            prev_x, prev_f = x, f
         if not roots:
-            listing = ", ".join(f"g_eff({x:.4f}) = {f:.3e}" for x, f in endpoint_info)
-            raise RegimeError(f"g_eff does not change sign on the searched bands: {listing}")
-
-        def sort_key(root: float):
-            reachable = band[0] <= root <= band[1]
-            rep = effective_coupling(device, root)
-            return (not reachable, max(rep.guard1, rep.guard2))
-
-        best = min(roots, key=sort_key)
-        report = effective_coupling(device, best)
-    reachable = band[0] <= best <= band[1]
-    flux_off = flux_for_frequency(device, best) if reachable else None
+            raise RegimeError(
+                f"g_eff does not change sign on the searched band: "
+                f"g_eff({lo:.4f}) = {f_lo:.3e}, g_eff({hi:.4f}) = {prev_f:.3e}"
+            )
+        omega_off = roots[0]
+        report = effective_coupling(device, omega_off)
+    reachable = band[0] <= omega_off <= band[1]
+    flux_off = flux_for_frequency(device, omega_off) if reachable else None
     return SwitchOffResult(
-        omega_off=best,
+        omega_off=omega_off,
         flux_off=flux_off,
         residual=abs(report.g_eff),
         guard=max(report.guard1, report.guard2),
-        roots=tuple(sorted(roots)),
+        roots=tuple(roots),
         band=band,
     )

@@ -13,7 +13,9 @@ from qcsim import (
     DeviceConfig,
     QubitParams,
     RegimeError,
+    RegimeWarning,
     SquidParams,
+    SwitchOffResult,
     SquidState,
     TransmissionLineParams,
     TruncationSpec,
@@ -23,12 +25,15 @@ from qcsim import (
     coupler_shifts,
     device_from_dict,
     device_to_dict,
+    effective_coupling,
     evolve_two_level,
+    flux_for_frequency,
     label_spectrum,
     load_device,
     qubit_coupler_coupling,
     qubit_spectrum,
     solve_dispersion,
+    tuning_band,
 )
 from qcsim.constants import TWO_PI
 
@@ -286,3 +291,72 @@ def pointwise_leakage():
     amplitudes, ncz_values, channel, duration); returns the p_comp and
     p_leak lists."""
     return _pointwise_leakage
+
+
+def _bisect_g_eff_root(device: DeviceConfig, lo: float, hi: float) -> float:
+    f_lo = effective_coupling(device, lo).g_eff
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        f_mid = effective_coupling(device, mid).g_eff
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _two_band_switch_off(device: DeviceConfig) -> SwitchOffResult:
+    w1, w2 = qubit_spectrum(device.qubit1).omega, qubit_spectrum(device.qubit2).omega
+    w_lo, w_hi = min(w1, w2), max(w1, w2)
+    margin = TWO_PI * 1e-3
+    band = tuning_band(device)
+    branches = [(max(w_lo - TWO_PI * 1.5, margin), w_lo - margin), (w_hi + margin, band[1])]
+    roots, endpoints = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for lo, hi in branches:
+            if hi <= lo:
+                continue
+            step = (hi - lo) / 512
+            prev_x, prev_f = lo, effective_coupling(device, lo).g_eff
+            endpoints.append((lo, prev_f))
+            for i in range(1, 513):
+                x = lo + i * step
+                f = effective_coupling(device, x).g_eff
+                if f == 0.0:
+                    roots.append(x)
+                elif (f < 0.0) != (prev_f < 0.0):
+                    roots.append(_bisect_g_eff_root(device, prev_x, x))
+                prev_x, prev_f = x, f
+            endpoints.append((hi, prev_f))
+        if not roots:
+            listing = ", ".join(f"g_eff({x:.4f}) = {f:.3e}" for x, f in endpoints)
+            raise RegimeError(f"g_eff does not change sign on the searched bands: {listing}")
+
+        def preference(root: float):
+            report = effective_coupling(device, root)
+            return (not band[0] <= root <= band[1], max(report.guard1, report.guard2))
+
+        best = min(roots, key=preference)
+        report = effective_coupling(device, best)
+    return SwitchOffResult(
+        omega_off=best,
+        flux_off=flux_for_frequency(device, best) if band[0] <= best <= band[1] else None,
+        residual=abs(report.g_eff),
+        guard=max(report.guard1, report.guard2),
+        roots=tuple(sorted(roots)),
+        band=band,
+    )
+
+
+@pytest.fixture(scope="session")
+def two_band_switch_off():
+    """Reference for `switch_off`: the 512-step g_eff scan of both the
+    band from 1.5 GHz below the lower qubit up to it and the band from
+    the upper qubit to the top of the tuning range, each kept 1 MHz
+    clear of the poles, every sign change bisected to 1e-9 rad/ns, and
+    the reachable root with the smaller dispersive guard returned.
+    Called as (device)."""
+    return _two_band_switch_off

@@ -615,7 +615,7 @@ def test_non_finite_c12_override_is_reported_as_the_configs_field(config_path, t
 
 def test_fatal_regime_error_exits_2(config_path, tmp_path, capsys):
     # Essentially no deliberate qubit-qubit capacitance: the net
-    # coupling never crosses zero on the searched bands, which is a
+    # coupling never crosses zero on the searched band, which is a
     # model/validity failure (2), not a usage one (1).
     doc = json.loads(Path(config_path).read_text())
     doc["caps"]["c12"] = 1e-9

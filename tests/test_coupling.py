@@ -331,8 +331,107 @@ def test_switch_off_relabeling_symmetry(device):
 
 def test_switch_off_without_sign_change_reports_endpoints(device):
     # With essentially no deliberate qubit-qubit capacitance the direct
-    # term drops to the series remnant; the mediated term then stays on
-    # one side of it across both searched bands for this device.
+    # term drops to the series remnant; the mediated term then stays
+    # below it across the searched band for this device, and the error
+    # lists g_eff at the band's two ends.
     dev = _with_caps(device, c12=1e-9)
-    with pytest.raises(RegimeError, match=r"g_eff\("):
+    with pytest.raises(RegimeError, match=r"g_eff\(") as exc:
         switch_off(dev)
+    assert str(exc.value) == (
+        "g_eff does not change sign on the searched band: "
+        "g_eff(25.7673) = -1.779e-01, g_eff(37.6848) = -1.443e-04"
+    )
+
+
+def test_switch_off_below_the_qubits_has_no_band_to_search(device, two_band_switch_off):
+    # An 8 mm line puts the whole tuning band (top 3.68 GHz) below the
+    # qubits, where g_eff > g12 > 0: there is no switch-off point.
+    dev = dataclasses.replace(device, line=dataclasses.replace(device.line, length=8.0))
+    with pytest.raises(RegimeError, match=r"does not change sign: the tuning band's top 23\.1195 .* no band to search"):
+        switch_off(dev)
+    with pytest.raises(RegimeError, match="does not change sign"):
+        two_band_switch_off(dev)
+
+
+def _assert_same_result(result, expected):
+    # Bit for bit: repr round-trips every float and tells -0.0 from 0.0.
+    assert result == expected
+    assert repr(result) == repr(expected)
+
+
+def test_switch_off_equals_two_band_oracle(device, benchmark_like_device, two_band_switch_off):
+    # The band below the lower qubit holds no root, so scanning only the
+    # band above the upper qubit returns the two-band scan's result.
+    for dev in [device] + [benchmark_like_device(device, seed) for seed in range(30)]:
+        _assert_same_result(switch_off(dev), two_band_switch_off(dev))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c12=st.floats(0.01, 0.5), c1c=st.floats(0.5, 5.0), c2c=st.floats(0.5, 5.0))
+def test_switch_off_equals_two_band_oracle_on_drawn_caps(device, two_band_switch_off, c12, c1c, c2c):
+    # Where the direct term is too strong for the mediated one to cancel,
+    # both searches fail; elsewhere they agree bit for bit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        dev = _with_caps(device, c12=c12, c1c=c1c, c2c=c2c)
+    try:
+        expected = two_band_switch_off(dev)
+    except RegimeError:
+        with pytest.raises(RegimeError, match="does not change sign on the searched band: "):
+            switch_off(dev)
+        return
+    _assert_same_result(switch_off(dev), expected)
+
+
+def test_switch_off_evaluates_only_the_band_above_the_qubits(device, benchmark_like_device, monkeypatch):
+    # One 512-step scan plus its bisection and the report at the root:
+    # at most 513 + 40 calls, none of them below the upper qubit.
+    import qcsim.coupling
+
+    original = qcsim.coupling.effective_coupling
+    calls = []
+
+    def counting(dev, omega_c):
+        calls.append(omega_c)
+        return original(dev, omega_c)
+
+    monkeypatch.setattr(qcsim.coupling, "effective_coupling", counting)
+    for dev in (device, benchmark_like_device(device, 0)):
+        calls.clear()
+        switch_off(dev)
+        w_hi = max(qubit_spectrum(dev.qubit1).omega, qubit_spectrum(dev.qubit2).omega)
+        assert 513 < len(calls) <= 513 + 40
+        assert min(calls) > w_hi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 40),
+    c12=st.floats(0.01, 0.5),
+    c1c=st.floats(0.5, 5.0),
+    c2c=st.floats(0.5, 5.0),
+)
+def test_g_eff_exceeds_direct_coupling_below_both_qubits(device, benchmark_like_device, seed, c12, c1c, c2c):
+    # The fact that lets switch_off skip the band below the lower qubit:
+    # at each point of the 512-step grid it used to scan there, every
+    # 1/D_j - 1/S_j = 2*wc/(w_j^2 - wc^2) is positive, so the mediated
+    # term is wc^2/4 * sum_j 1/(w_j^2 - wc^2) * C1c*C2c/(Cc*sqrt(C1*C2))
+    # * sqrt(w1*w2) > 0 and g_eff > g12 > 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        dev = _with_caps(benchmark_like_device(device, seed), c12=c12, c1c=c1c, c2c=c2c)
+    w1, w2 = qubit_spectrum(dev.qubit1).omega, qubit_spectrum(dev.qubit2).omega
+    caps = dev.caps
+    kappa = caps.c1c * caps.c2c / (caps.cc * math.sqrt(dev.qubit1.c_total * dev.qubit2.c_total)) * math.sqrt(w1 * w2)
+    g12 = direct_coupling(dev)
+    assert g12 > 0.0
+    margin = TWO_PI * 1e-3
+    lo, hi = max(min(w1, w2) - TWO_PI * 1.5, margin), min(w1, w2) - margin
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for i in range(513):
+            w = lo + i * (hi - lo) / 512
+            rep = effective_coupling(dev, w)
+            assert rep.g_eff > g12, w
+            closed = w * w / 4.0 * (1.0 / (w1 * w1 - w * w) + 1.0 / (w2 * w2 - w * w)) * kappa
+            assert math.isclose(rep.mediated, closed, rel_tol=1e-9), w
